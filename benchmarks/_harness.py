@@ -32,22 +32,6 @@ from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
 REPORT_DIR = pathlib.Path(__file__).resolve().parent / "reports"
 
 
-def bench_workers() -> int:
-    """Worker count for the sweep: the ``REPRO_BENCH_WORKERS`` dimension.
-
-    ``0`` (the default) defers to the engine's own resolution (the
-    ``REPRO_WORKERS`` env / serial); any positive value pins the fan-out.
-    """
-    raw = os.environ.get("REPRO_BENCH_WORKERS", "0")
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"REPRO_BENCH_WORKERS must be an integer, got {raw!r}") from exc
-    if workers < 0:
-        raise ValueError("REPRO_BENCH_WORKERS must be >= 0")
-    return workers
-
-
 def bench_params(bits: int) -> SlicerParams:
     """Protocol parameters for benchmarking (see module docstring)."""
     if os.environ.get("REPRO_BENCH_PARAMS", "").lower() == "paper":
@@ -55,13 +39,11 @@ def bench_params(bits: int) -> SlicerParams:
             value_bits=bits,
             prime_bits=256,
             accumulator=AccumulatorParams.demo(2048),
-            workers=bench_workers(),
         )
     return SlicerParams(
         value_bits=bits,
         prime_bits=64,
         accumulator=AccumulatorParams.demo(512, default_rng(7)),
-        workers=bench_workers(),
     )
 
 
@@ -158,7 +140,6 @@ def write_report(name: str, text: str, data: dict | None = None) -> None:
             "name": name,
             "env": {
                 "bench_params": os.environ.get("REPRO_BENCH_PARAMS", "default"),
-                "bench_workers": bench_workers(),
                 "scale": os.environ.get("REPRO_SCALE", "default"),
                 "cpu_count": os.cpu_count(),
             },

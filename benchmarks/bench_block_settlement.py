@@ -30,7 +30,7 @@ import pathlib
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
-from _harness import bench_params, bench_workers, write_report  # noqa: E402
+from _harness import bench_params, write_report  # noqa: E402
 from repro.analysis.reporting import render_kv_table  # noqa: E402
 from repro.common.rng import default_rng  # noqa: E402
 from repro.common.timing import time_call  # noqa: E402
@@ -158,7 +158,6 @@ def main() -> int:
                 "queries": len(QUERIES),
                 "value_bits": BITS,
                 "kernel_repeats": KERNEL_REPEATS,
-                "workers": bench_workers(),
             },
             "metrics": metrics,
         },

@@ -35,7 +35,7 @@ import pathlib
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
-from _harness import bench_params, bench_workers, write_report  # noqa: E402
+from _harness import bench_params, write_report  # noqa: E402
 from repro.analysis.reporting import render_kv_table  # noqa: E402
 from repro.baselines.range_tree_sse import canonical_cover  # noqa: E402
 from repro.common.rng import default_rng  # noqa: E402
@@ -227,7 +227,6 @@ def main() -> int:
                 "selectivities": SELECTIVITIES,
                 "conjunctive_selectivity": CONJUNCTIVE_SELECTIVITY,
                 "target_speedup_at_1pct": TARGET_SPEEDUP_AT_1PCT,
-                "workers": bench_workers(),
             },
             "cells": cells,
             "planner_counters": planner_counters,

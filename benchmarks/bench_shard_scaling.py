@@ -32,7 +32,7 @@ import pathlib
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
-from _harness import bench_params, bench_workers, write_report  # noqa: E402
+from _harness import bench_params, write_report  # noqa: E402
 from repro.analysis.reporting import render_kv_table  # noqa: E402
 from repro.common.rng import default_rng  # noqa: E402
 from repro.common.timing import time_call  # noqa: E402
@@ -185,7 +185,6 @@ def main() -> int:
                 "shard_counts": SHARD_COUNTS,
                 "workloads": WORKLOADS,
                 "hot_fraction": HOT_FRACTION,
-                "workers": bench_workers(),
             },
             "cells": cells,
             "byte_identity_vs_single_cloud": True,

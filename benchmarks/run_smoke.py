@@ -3,11 +3,7 @@
 
 Runs Build -> Search -> precompute-witnesses -> Insert -> Search on a
 smoke-scale database and writes ``reports/BENCH_smoke.json`` (plus the
-text twin) via the shared harness.  Honors ``REPRO_BENCH_WORKERS`` so CI
-exercises both the serial path and the process fan-out; worker counter
-deltas merge back into the parent, so the recorded counter snapshot is
-identical at every worker config (CI gates on exactly that).  Each run
-also writes a JSONL span trace (``reports/TRACE_smoke.jsonl`` /
+text twin) via the shared harness.  Each run also writes a JSONL span trace (``reports/TRACE_smoke.jsonl`` /
 ``TRACE_chaos.jsonl``) and, for chaos runs, the settlement audit log
 (``reports/AUDIT_chaos.jsonl``) — both readable via
 ``python -m repro report``.
@@ -38,7 +34,7 @@ import tempfile
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
-from _harness import REPORT_DIR, bench_params, bench_workers, write_report  # noqa: E402
+from _harness import REPORT_DIR, bench_params, write_report  # noqa: E402
 from repro.analysis.reporting import render_kv_table  # noqa: E402
 from repro.chaos import ChaosTransport, FaultPlan, profile_named  # noqa: E402
 from repro.common import perfstats  # noqa: E402
@@ -385,7 +381,6 @@ def run_restart() -> int:
         "primes": count,
         "segments": 2,
         "store_bytes": store_bytes,
-        "workers": bench_workers(),
         "modmath_backend": modmath.backend_info()["active"],
         "all_verified": True,
     }
@@ -487,7 +482,6 @@ def run_range() -> int:
         "plans": n_plans,
         "records": N_RECORDS,
         "value_bits": BITS,
-        "workers": bench_workers(),
         "modmath_backend": modmath.backend_info()["active"],
         "audit_records": totals["records"],
         "all_verified": True,
@@ -502,8 +496,7 @@ def run_range() -> int:
             "metrics": metrics,
             "streams": plan_rows,
             # The gated heart of the bench: planner work is a pure function
-            # of the query stream, so these reproduce exactly on re-run at
-            # any worker count.
+            # of the query stream, so these reproduce exactly on re-run.
             "planner": planner,
             "counters": deterministic["counters"],
             "histograms": deterministic["histograms"],
@@ -648,7 +641,6 @@ def run_plain(shards: int = 1) -> int:
         "inserted": N_INSERT,
         "value_bits": BITS,
         "primes": cloud.prime_count,
-        "workers": bench_workers(),
         "shards": shards,
         "modmath_backend": modmath.backend_info()["active"],
         "all_verified": True,
@@ -663,10 +655,8 @@ def run_plain(shards: int = 1) -> int:
         data={
             "metrics": metrics,
             # Machine-independent kernel counters: the regression gate
-            # compares these exactly.  Worker counter deltas merge back
-            # into the parent and execution-shape `parallel.*` counters
-            # are excluded, so the snapshot is identical at any
-            # REPRO_BENCH_WORKERS — CI asserts workers=0 == workers=2.
+            # compares these exactly, at any shard width and on any
+            # modmath backend.
             "counters": deterministic["counters"],
             # Value-deterministic histograms (gas, token/result sizes);
             # wall-clock `*_s` histograms are already excluded.

@@ -8,14 +8,9 @@ operation counts here, and the benchmarks print the rates next to their
 timings.
 
 Counters are *advisory instrumentation only*: no protocol logic may read
-them and they carry no security meaning.  They are process-local, but no
-longer worker-blind: tasks fanned out by
-:class:`~repro.parallel.executor.ParallelExecutor` return a counter
-**delta** (via :meth:`PerfStats.delta_since`) alongside their results, and
-the executor merges the deltas back in chunk order (:meth:`PerfStats.merge`)
-— so counter snapshots are identical whether a workload ran serially or
-across forked workers.  The overhead per increment is one dict operation,
-cheap enough for the hot loops it instruments.
+them and they carry no security meaning.  They are process-local.  The
+overhead per increment is one dict operation, cheap enough for the hot
+loops it instruments.
 
 Naming convention: dotted ``area.event`` labels, with cache counters paired
 as ``<cache>.hit`` / ``<cache>.miss`` so :func:`hit_rate` can derive rates
@@ -51,21 +46,13 @@ class PerfStats:
     def delta_since(self, baseline: dict[str, int]) -> dict[str, int]:
         """Per-counter difference against an earlier :meth:`snapshot`.
 
-        The worker half of the cross-process merge: a task snapshots on
-        entry, runs, and ships ``delta_since(entry_snapshot)`` home with its
-        results.  Only changed counters appear, so idle counters cost
-        nothing on the wire.
+        Only changed counters appear.
         """
         return {
             k: v - baseline.get(k, 0)
             for k, v in self._counts.items()
             if v != baseline.get(k, 0)
         }
-
-    def merge(self, delta: dict[str, int]) -> None:
-        """Fold a worker task's counter delta in (the parent half)."""
-        for name, amount in delta.items():
-            self.incr(name, amount)
 
     def reset(self, prefix: str = "") -> None:
         """Zero every counter (or only those under ``prefix``)."""
@@ -121,10 +108,6 @@ def snapshot(prefix: str = "") -> dict[str, int]:
 
 def delta_since(baseline: dict[str, int]) -> dict[str, int]:
     return STATS.delta_since(baseline)
-
-
-def merge(delta: dict[str, int]) -> None:
-    STATS.merge(delta)
 
 
 def reset(prefix: str = "") -> None:

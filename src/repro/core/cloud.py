@@ -24,19 +24,11 @@ from ..common import perfstats
 from ..common.timing import Stopwatch
 from ..common.errors import AccumulatorError, ParameterError, StateError
 from ..crypto import kernels
-from ..crypto.accumulator import MembershipWitness, verify_membership_batch
+from ..crypto.accumulator import MembershipWitness, root_factor, verify_membership_batch
 from ..obs import metrics, trace
 from ..crypto.modmath import ProductTree, powmod, product
 from ..crypto.multiset_hash import MultisetHash
 from ..crypto.trapdoor import TrapdoorPublicKey
-from ..parallel import ParallelExecutor
-from ..parallel.tasks import (
-    CollectShared,
-    TokenWork,
-    collect_entries_chunk,
-    pow_chunk,
-    witness_map,
-)
 from .entry_cache import CacheNode, CollectResult, EntryCache, collect_entries
 from .params import SlicerParams
 from .state import CloudPackage, EncryptedIndex, set_hash_key
@@ -110,7 +102,6 @@ class CloudServer:
         #: immutable, :meth:`install` leaves it intact); :meth:`restore`
         #: keeps it only when the incoming snapshot provably matches it.
         self._entry_cache = EntryCache()
-        self._executor = ParallelExecutor(params.workers)
         #: Durable epoch-segment store (attach_store/reopen); None keeps the
         #: cloud purely in-memory, exactly as before the store existed.
         self._store = None
@@ -191,11 +182,7 @@ class CloudServer:
         assert self._witness_cache is not None
         n = self.params.accumulator.modulus
         delta = product(fresh)
-        cached = list(self._witness_cache.items())
-        raised = self._executor.map_chunks(
-            pow_chunk, [w for _, w in cached], shared=(delta, n)
-        )
-        cache = {p: w for (p, _), w in zip(cached, raised)}
+        cache = {p: powmod(w, delta, n) for p, w in self._witness_cache.items()}
         if witness_primes is None:
             local = fresh
         else:
@@ -205,7 +192,7 @@ class CloudServer:
         if len(local) < len(fresh):
             skipped = [p for p in fresh if p not in set(local)]
             base = powmod(previous_ads, product(skipped), n)
-        cache.update(witness_map(base, local, n, self._executor))
+        cache.update(root_factor(base, local, n))
         self._witness_cache = cache
         self._check_witness_cache()
 
@@ -213,8 +200,7 @@ class CloudServer:
         """Precompute the witness for every accumulated prime.
 
         Trades install-time work (root-factor batch, ``O(|X| log |X|)``
-        exponentiations, split across workers when ``params.workers > 1``)
-        for near-zero VO-generation latency per query — the trade a
+        exponentiations) for near-zero VO-generation latency per query — the trade a
         production cloud serving many queries per update cycle would take.
         Later :meth:`install` calls keep the cache fresh incrementally.
         Returns the number of cached witnesses.
@@ -238,7 +224,7 @@ class CloudServer:
             base = kernels.fixed_base_pow(
                 g, acc.modulus, self._product_tree.root // product(subset)
             )
-        self._witness_cache = witness_map(base, subset, acc.modulus, self._executor)
+        self._witness_cache = root_factor(base, subset, acc.modulus)
         self._check_witness_cache()
         return len(self._witness_cache)
 
@@ -468,19 +454,8 @@ class CloudServer:
                 )
         else:
             perfstats.incr("segstore.warm.stale_entries")
-        kernels.absorb_cache_export(
-            {
-                "hash": {
-                    (self.params.prime_bits, b"H_prime"): warm.hash_items,
-                },
-                "trapdoor": {
-                    (
-                        self.trapdoor_public.modulus,
-                        self.trapdoor_public.exponent,
-                    ): warm.trapdoor_items,
-                },
-            }
-        )
+        kernels.load_hash_memo(self.params.prime_bits, warm.hash_items)
+        kernels.load_trapdoor_chain(self.trapdoor_public, warm.trapdoor_items)
         perfstats.incr("segstore.warm.loaded")
 
     @property
@@ -494,7 +469,6 @@ class CloudServer:
         self,
         tokens: list[SearchToken],
         *,
-        _collected: dict[SearchToken, CollectResult] | None = None,
         _observe: bool = True,
     ) -> SearchResponse:
         """Algorithm 4 (Cloud.Search) over a token list.
@@ -512,21 +486,16 @@ class CloudServer:
         one full-product exponentiation instead of one per token, which is
         what keeps order-search VO generation (paper Fig. 5d) tractable.
 
-        The keyword-only hooks serve the sharded frontend: ``_collected``
-        supplies walk results its per-shard fan-out already produced (keyed
-        by token; must cover every unique token), and ``_observe=False``
-        suppresses the per-query metric observations so the frontend can
-        observe the *merged* response exactly once.
+        ``_observe=False`` (the sharded frontend's hook) suppresses the
+        per-query metric observations so the frontend can observe the
+        *merged* response exactly once.
         """
         self._ensure_hydrated()
         with self.stopwatch.measure("results"), trace.span("cloud.results"):
             unique: dict[SearchToken, int] = {}
             slots = [unique.setdefault(token, len(unique)) for token in tokens]
             perfstats.incr("cloud.token_dedup.saved", len(tokens) - len(unique))
-            if _collected is None:
-                collected = self._collect_all(list(unique))
-            else:
-                collected = [_collected[token] for token in unique]
+            collected = [self._collect(token) for token in unique]
             partials = [(token, collected[slot]) for token, slot in zip(tokens, slots)]
         with self.stopwatch.measure("vo"), trace.span("cloud.vo"):
             witnesses = self._batch_witnesses(partials)
@@ -545,9 +514,7 @@ class CloudServer:
 
         The cross-query extension of :meth:`search`'s per-query dedup:
         identical tokens across the staged queries (hot boundary keywords
-        under skewed traffic) walk the index once, and one
-        :meth:`_collect_all` dispatch covers the whole batch — the parallel
-        fan-out sees the union, not ``n`` small lists.  Responses are
+        under skewed traffic) walk the index once.  Responses are
         byte-identical to ``[search(tokens) for tokens in token_lists]``:
         collection is a pure function per unique token, and witness values
         ``g^(prod(X)/p)`` do not depend on how queries group the primes.
@@ -562,7 +529,7 @@ class CloudServer:
         perfstats.incr("batch.unique_tokens", len(unique))
         perfstats.incr("batch.dedup_saved", total - len(unique))
         with self.stopwatch.measure("results"), trace.span("cloud.results", batch=len(token_lists)):
-            collected = self._collect_all(list(unique))
+            collected = [self._collect(token) for token in unique]
         responses: list[SearchResponse] = []
         for tokens, slots in zip(token_lists, slot_lists):
             perfstats.incr("cloud.token_dedup.saved", len(tokens) - len(set(slots)))
@@ -611,36 +578,11 @@ class CloudServer:
         witness = self._batch_witnesses([(token, collected)])[0]
         return TokenResult(token, collected.entries, witness)
 
-    def _collect_all(self, tokens: list[SearchToken]) -> list[CollectResult]:
-        """Entry collection for every token, fanned out across workers.
-
-        The index dictionary *and the entry cache* reach workers by fork
-        inheritance (zero copy); each worker runs the same cache-aware epoch
-        walk as the serial path, ships installed nodes home through the
-        kernel cache-export machinery, and distinct keywords have disjoint
-        trapdoor chains — so results, counters and cache state are byte-
-        identical to the serial loop at any worker count.
-        """
-        if not self._executor.parallel_available or len(tokens) < max(
-            2, self._executor.min_items
-        ):
-            return [self._collect(token) for token in tokens]
-        shared = CollectShared(
-            self.index.entries,
-            self.params.label_len,
-            self.trapdoor_public,
-            self._entry_cache if kernels.kernels_enabled() else None,
-            self.params.multiset_field,
-        )
-        work = [TokenWork(t.trapdoor, t.epoch, t.g1, t.g2) for t in tokens]
-        return self._executor.map_chunks(collect_entries_chunk, work, shared=shared)
-
     def _collect(self, token: SearchToken, max_epochs: int | None = None) -> CollectResult:
-        """The cache-aware epoch walk for one token (serial path).
+        """The cache-aware epoch walk for one token.
 
-        Delegates to :func:`repro.core.entry_cache.collect_entries` — the
-        same function the fork workers run — against this cloud's own
-        suffix cache.  Truncated walks (``max_epochs``) and
+        Delegates to :func:`repro.core.entry_cache.collect_entries` against
+        this cloud's own suffix cache.  Truncated walks (``max_epochs``) and
         ``REPRO_KERNELS=0`` bypass the cache and reproduce the legacy loop
         byte for byte.
         """
@@ -735,7 +677,7 @@ class CloudServer:
         # prod(X) comes from the incrementally maintained product tree;
         # only the (small) subset product is computed fresh.
         base = kernels.fixed_base_pow(g, n, self._product_tree.root // product(list(subset)))
-        witnesses = witness_map(base, list(subset), n, self._executor)
+        witnesses = root_factor(base, list(subset), n)
         if kernels.kernels_enabled():
             if len(self._repeat_witness_cache) >= 256:
                 del self._repeat_witness_cache[next(iter(self._repeat_witness_cache))]

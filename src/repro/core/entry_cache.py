@@ -11,9 +11,8 @@ every PRF label, index probe and pad stream.  This module caches the walk:
   MSet-Mu-Hash *value* of the whole suffix ``epoch..0``, and a link to the
   next-older trapdoor (so following cached links costs zero ``π_pk``
   modexps).
-* **collect_entries** — the one epoch walk shared by the serial cloud path
-  and the fork-worker task: it descends from the token head only until it
-  hits a cached node, collects just the fresh epochs, splices the cached
+* **collect_entries** — the cloud's epoch walk: it descends from the
+  token head only until it hits a cached node, collects just the fresh epochs, splices the cached
   suffix, and installs nodes for the fresh prefix on the way out.  The
   head node's suffix hash *is* the full result-multiset hash, so
   ``CloudServer._token_prime`` folds it incrementally instead of rehashing
@@ -25,21 +24,12 @@ the new head exist), so ``CloudServer.install`` leaves the cache intact and
 only ``restore`` (crash recovery — in-memory caches die with the process)
 drops it.  The cache is **per cloud instance** — entries depend on that
 cloud's index contents, never shared across deployments — size-bounded with
-FIFO eviction (insertion order, which keeps the position-based export marks
-below valid) and disabled alongside the other kernels by ``REPRO_KERNELS=0``.
-
-Fork workers inherit the parent cloud's cache object through the executor's
-shared payload and ship the nodes they installed home through the PR 4
-``cache_mark`` / ``export_since`` / ``absorb_cache_export`` machinery: this
-module registers itself as a kernel cache *family*, so the executor needs no
-entry-cache-specific plumbing and counter snapshots plus warm behaviour stay
-bit-identical at any worker count.
+FIFO eviction (insertion order), disabled alongside the other kernels by
+``REPRO_KERNELS=0`` and emptied by :func:`repro.crypto.kernels.clear_caches`.
 """
 
 from __future__ import annotations
 
-import itertools
-import weakref
 from typing import Callable, NamedTuple, Optional
 
 from ..common import perfstats
@@ -85,37 +75,18 @@ def node_key(trapdoor: bytes, g1: bytes, g2: bytes) -> bytes:
     return encode_parts(trapdoor, g1, g2)
 
 
-# Registry of live caches for the cross-process export machinery.  Weak so a
-# discarded cloud (or a cache dropped by restore) never pins its nodes.
-_IDS = itertools.count()
-_REGISTRY: "weakref.WeakValueDictionary[int, EntryCache]" = weakref.WeakValueDictionary()
-
-
 class EntryCache:
-    """Bounded FIFO map ``node_key -> CacheNode`` for one cloud instance.
+    """Bounded FIFO map ``node_key -> CacheNode`` for one cloud instance."""
 
-    ``installs`` / ``evictions`` count monotonically (never reset by
-    :meth:`clear`): the export marks below compare them to decide what a
-    worker added since the fork, which stays sound even when an evict+install
-    pair leaves ``len()`` unchanged.
-    """
-
-    __slots__ = ("nodes", "max_nodes", "cache_id", "installs", "evictions", "__weakref__")
+    __slots__ = ("nodes", "max_nodes", "__weakref__")
 
     def __init__(self, max_nodes: int = ENTRY_CACHE_MAX) -> None:
         self.nodes: dict[bytes, CacheNode] = {}
         self.max_nodes = max_nodes
-        self.cache_id = next(_IDS)
-        self.installs = 0
-        self.evictions = 0
-        _REGISTRY[self.cache_id] = self
+        kernels.track_instance_cache(self)
 
     def get(self, key: bytes) -> Optional[CacheNode]:
         return self.nodes.get(key)
-
-    def _evict_oldest(self) -> None:
-        del self.nodes[next(iter(self.nodes))]
-        self.evictions += 1
 
     def install(self, key: bytes, node: CacheNode) -> None:
         """Insert a node (first write wins; nodes for one key are identical)."""
@@ -123,29 +94,11 @@ class EntryCache:
         if key in nodes:
             return
         if len(nodes) >= self.max_nodes:
-            self._evict_oldest()
+            del nodes[next(iter(nodes))]
             perfstats.incr("cloud.entry_cache.evicted")
         nodes[key] = node
-        self.installs += 1
-
-    def absorb(self, items: list[tuple[bytes, CacheNode]]) -> None:
-        """Fold a worker export in: first write wins, evictions silent.
-
-        No *perf counters* move here — the worker already counted its own
-        installs and evictions in the delta the executor merged back (same
-        contract as :func:`repro.crypto.kernels.absorb_cache_export`); the
-        export-mark bookkeeping still advances.
-        """
-        nodes = self.nodes
-        for key, node in items:
-            if key not in nodes:
-                if len(nodes) >= self.max_nodes:
-                    self._evict_oldest()
-                nodes[key] = node
-                self.installs += 1
 
     def clear(self) -> None:
-        self.evictions += len(self.nodes)
         self.nodes.clear()
 
     def __len__(self) -> int:
@@ -169,8 +122,7 @@ def collect_entries(
 ) -> CollectResult:
     """Algorithm 4's epoch walk ``j..0``, spliced through the suffix cache.
 
-    The one walk both the serial cloud and the fork-worker chunk task run:
-    descend from the head; at each epoch, a cache hit appends that node's
+    Descend from the head; at each epoch, a cache hit appends that node's
     entries and follows its link (zero PRF/index/modexp work), a miss scans
     counters exactly like the legacy loop.  Fresh epochs *above* the first
     hit are folded into suffix hashes bottom-up and installed oldest-first;
@@ -279,73 +231,3 @@ def collect_entries(
     perfstats.incr("cloud.collect.index_probes", probes)
     perfstats.incr("cloud.collect.prf_evals", prf_evals)
     return CollectResult(entries, suffix_value, spliced)
-
-
-# --------------------------------------------- kernel cache-family integration
-
-
-def _family_mark() -> dict:
-    """Monotonic (installs, evictions) marks per live cache.
-
-    Length alone cannot detect an evict+install pair (it leaves ``len()``
-    unchanged), so the marks count installs and evictions separately — see
-    ``kernels.cache_mark``.
-    """
-    return {
-        cache_id: (cache.installs, cache.evictions)
-        for cache_id, cache in _REGISTRY.items()
-    }
-
-
-def _family_export(mark: dict) -> dict:
-    """Nodes installed since ``mark``, keyed by cache id (the worker half).
-
-    With no evictions since the mark, the fresh nodes are exactly the dict's
-    tail (FIFO insertion order); any eviction invalidates tail positions, so
-    the whole cache ships — absorb is first-write-wins, so over-sending is
-    merely redundant, never wrong.
-    """
-    export: dict = {}
-    for cache_id, cache in _REGISTRY.items():
-        installs_seen, evictions_seen = mark.get(cache_id, (0, 0))
-        fresh = cache.installs - installs_seen
-        if fresh <= 0:
-            continue
-        items = list(cache.nodes.items())
-        if cache.evictions != evictions_seen:
-            export[cache_id] = items  # positions rotated: send everything
-        else:
-            export[cache_id] = items[len(items) - fresh:]
-    return export
-
-
-def _family_absorb(export: dict) -> None:
-    """Fold worker exports into the parent's caches (the parent half).
-
-    A cache id the parent no longer holds (restore dropped it mid-flight)
-    is skipped — the nodes belonged to an instance that no longer exists.
-    """
-    for cache_id, items in export.items():
-        cache = _REGISTRY.get(cache_id)
-        if cache is not None:
-            cache.absorb(items)
-
-
-def _family_clear() -> None:
-    """Drop every live cache's nodes (the benchmarks' cold-path reset)."""
-    for cache in list(_REGISTRY.values()):
-        cache.clear()
-
-
-def _family_size() -> int:
-    return sum(len(cache) for cache in _REGISTRY.values())
-
-
-kernels.register_cache_family(
-    "entry",
-    mark=_family_mark,
-    export_since=_family_export,
-    absorb=_family_absorb,
-    clear=_family_clear,
-    size=_family_size,
-)

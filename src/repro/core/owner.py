@@ -20,21 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..common.encoding import encode_parts
+from ..common.bitstring import xor_bytes
+from ..common.encoding import encode_parts, encode_uint
 from ..common.errors import StateError
 from ..common.rng import DeterministicRNG, default_rng
 from ..common.timing import Stopwatch
 from ..crypto.accumulator import Accumulator
 from ..crypto.multiset_hash import MultisetHash
+from ..crypto.prf import PRF
 from ..obs import metrics, trace
-from ..crypto.symmetric import NONCE_LEN, SymmetricCipher
-from ..parallel import ParallelExecutor
-from ..parallel.tasks import (
-    IndexShared,
-    KeywordJob,
-    hash_to_prime_chunk,
-    index_keyword_chunk,
-)
+from ..crypto.symmetric import SymmetricCipher
 from .keywords import keywords_for_record
 from .params import KeyBundle, SlicerParams, UserKeys
 from .records import AttributedDatabase, AttributedRecord, Database, Record
@@ -104,8 +99,6 @@ class DataOwner:
         self.set_hash_state = SetHashState()
         self.accumulator = Accumulator(params.accumulator)
         self._cipher = SymmetricCipher(self.keys.record_key, self.rng)
-        self._hash_to_prime = params.hash_to_prime()
-        self._executor = ParallelExecutor(params.workers)
         self._built = False
         #: Attribute names seen across every indexed record (shared with
         #: users so they can validate queries before paying to search).
@@ -162,97 +155,86 @@ class DataOwner:
                     postings.setdefault(keyword, []).append(record.record_id)
         return postings
 
-    def _stage_keywords(self, records: list[Record | AttributedRecord]) -> list[KeywordJob]:
-        """The *serial* half of Build/Insert: every state transition that
-        consumes the owner's RNG or mutates ``T``/``S``.
-
-        Trapdoor sampling, the π_sk^{-1} advance and the per-record nonce
-        draws happen here, in postings order, so the RNG stream is identical
-        whether the heavy half below runs on one worker or many.
-        """
-        field = self.params.multiset_field
-        jobs: list[KeywordJob] = []
-        for keyword, record_ids in self._postings(records).items():
-            g1, g2 = derive_g1_g2(self.keys.prf_key, keyword)
-            entry = self.trapdoor_state.find(keyword)
-            if entry is None:
-                # First sighting: fresh trapdoor, epoch 0, empty hash H(φ).
-                trapdoor = self.keys.trapdoor.sample_trapdoor(self.rng)
-                epoch = 0
-                running = MultisetHash.empty(field)
-            else:
-                # Known keyword: pop its running hash and advance the
-                # trapdoor via π_sk^{-1} (the forward-security step).
-                trapdoor, epoch = entry.trapdoor, entry.epoch
-                running = self.set_hash_state.pop(set_hash_key(trapdoor, epoch, g1, g2))
-                trapdoor = self.keys.trapdoor.invert(trapdoor)
-                epoch += 1
-            self.trapdoor_state.put(keyword, trapdoor, epoch)
-            postings = tuple(
-                (record_id, self.rng.token_bytes(NONCE_LEN)) for record_id in record_ids
-            )
-            jobs.append(KeywordJob(trapdoor, epoch, g1, g2, running.value, postings))
-        return jobs
-
     def _index_batch(self, records: list[Record | AttributedRecord]) -> OwnerOutput:
         """The shared core of Build and Insert: one epoch per touched keyword.
 
-        Phase 1 ("index"): serial staging (see :meth:`_stage_keywords`), then
-        the pure PRF/encrypt/multiset-fold work fanned out per keyword chunk.
-        Phase 2 ("ads"): ``H_prime`` derivation fanned out, then the single
-        accumulator fold.  Output is byte-identical for any worker count.
+        Phase 1 ("index"), per keyword in postings order: sample a fresh
+        trapdoor or advance the known one with π_sk^{-1} (the
+        forward-security step), then encrypt each posting's record ID,
+        derive its PRF label and pad, and fold the ciphertext into the
+        keyword's running multiset hash.  Phase 2 ("ads"): ``H_prime`` per
+        keyword state, then the single accumulator fold.
         """
         new_index = EncryptedIndex()
         field = self.params.multiset_field
+        label_len = self.params.label_len
+        #: (G1, entries, state key, running hash) per keyword, postings order.
+        staged: list[tuple[bytes, list[tuple[bytes, bytes]], bytes, MultisetHash]] = []
 
         with self.stopwatch.measure("index"), trace.span("owner.index"):
-            jobs = self._stage_keywords(records)
+            postings = self._postings(records)
             metrics.observe("owner.batch.records", len(records))
-            metrics.observe("owner.batch.keywords", len(jobs))
-            shared = IndexShared(self.keys.record_key, self.params.label_len, field)
-            folded = self._executor.map_chunks(index_keyword_chunk, jobs, shared=shared)
-            for entries, _ in folded:
-                for label, payload in entries:
+            metrics.observe("owner.batch.keywords", len(postings))
+            for keyword, record_ids in postings.items():
+                g1, g2 = derive_g1_g2(self.keys.prf_key, keyword)
+                entry = self.trapdoor_state.find(keyword)
+                if entry is None:
+                    # First sighting: fresh trapdoor, epoch 0, empty hash H(φ).
+                    trapdoor = self.keys.trapdoor.sample_trapdoor(self.rng)
+                    epoch = 0
+                    running = MultisetHash.empty(field)
+                else:
+                    # Known keyword: pop its running hash and advance the
+                    # trapdoor via π_sk^{-1} (the forward-security step).
+                    trapdoor, epoch = entry.trapdoor, entry.epoch
+                    running = self.set_hash_state.pop(set_hash_key(trapdoor, epoch, g1, g2))
+                    trapdoor = self.keys.trapdoor.invert(trapdoor)
+                    epoch += 1
+                self.trapdoor_state.put(keyword, trapdoor, epoch)
+                label_prf = PRF(g1, label_len)
+                pad_prf = PRF(g2)
+                entries: list[tuple[bytes, bytes]] = []
+                for counter, record_id in enumerate(record_ids):
+                    record_ct = self._cipher.encrypt(record_id)
+                    label = label_prf.eval(trapdoor, encode_uint(counter))
+                    pad = pad_prf.eval_stream(len(record_ct), trapdoor, encode_uint(counter))
+                    payload = xor_bytes(pad, record_ct)
+                    entries.append((label, payload))
                     new_index.put(label, payload)
+                    running = running.add(record_ct)
+                staged.append((g1, entries, set_hash_key(trapdoor, epoch, g1, g2), running))
 
         with self.stopwatch.measure("ads"), trace.span("owner.ads"):
-            payloads: list[bytes] = []
-            for job, (_, running_value) in zip(jobs, folded):
-                state_key = set_hash_key(job.trapdoor, job.epoch, job.g1, job.g2)
-                running = MultisetHash(running_value, field)
+            h_prime = self.params.hash_to_prime()
+            new_primes: list[int] = []
+            for _, _, state_key, running in staged:
                 self.set_hash_state.put(state_key, running)
-                payloads.append(encode_parts(state_key, running.to_bytes()))
-            new_primes = self._executor.map_chunks(
-                hash_to_prime_chunk, payloads, shared=(self.params.prime_bits,)
-            )
+                new_primes.append(h_prime(encode_parts(state_key, running.to_bytes())))
             self.accumulator.add_many(new_primes)
         package = CloudPackage(new_index, new_primes, self.accumulator.value)
-        return self._finish(package, jobs, folded)
-
-    def _finish(self, package: CloudPackage, jobs, folded) -> OwnerOutput:
         return OwnerOutput(
             cloud_package=package,
             chain_ads=self.accumulator.value,
             user_package=self.user_package(),
-            shard_packages=self._split_for_shards(package, jobs, folded),
+            shard_packages=self._split_for_shards(package, staged),
         )
 
-    def _split_for_shards(self, package: CloudPackage, jobs, folded):
-        """Route each keyword job's entries/prime to its home shard.
+    def _split_for_shards(self, package: CloudPackage, staged):
+        """Route each keyword's entries/prime to its home shard.
 
-        Jobs, folded entry lists and ``package.primes`` are parallel arrays
-        in job order, so the split is a pure regrouping of the exact bytes
-        the flat package carries — shard slices merged back together equal
-        the flat index, and every shard still receives the full delta prime
-        list (see :mod:`repro.sharding.plan`).
+        ``staged`` and ``package.primes`` are parallel arrays in keyword
+        order, so the split is a pure regrouping of the exact bytes the flat
+        package carries — shard slices merged back together equal the flat
+        index, and every shard still receives the full delta prime list
+        (see :mod:`repro.sharding.plan`).
         """
         if self.shard_plan is None:
             return None
         from ..sharding.plan import split_package  # local: sharding builds on core
 
         routed = [
-            (self.shard_plan.shard_of(job.g1), entries, prime)
-            for job, (entries, _), prime in zip(jobs, folded, package.primes)
+            (self.shard_plan.shard_of(g1), entries, prime)
+            for (g1, entries, _, _), prime in zip(staged, package.primes)
         ]
         return split_package(
             self.shard_plan, routed, list(package.primes), package.accumulation

@@ -32,11 +32,6 @@ class SlicerParams:
     accumulator: AccumulatorParams = field(
         default_factory=lambda: AccumulatorParams.demo(1024)
     )
-    #: Worker processes for the parallel hot-path engine: ``0`` = auto
-    #: (consult ``REPRO_WORKERS``, default serial), ``1`` = always serial,
-    #: ``N`` = fan Build/Insert/Search/witness work out over N processes.
-    #: Purely an execution knob — protocol output is identical for any value.
-    workers: int = 0
 
     def __post_init__(self) -> None:
         if self.value_bits <= 0:
@@ -45,8 +40,6 @@ class SlicerParams:
             raise ParameterError("record_id_len must be positive")
         if not 8 <= self.label_len <= 32:
             raise ParameterError("label_len must be within [8, 32] bytes")
-        if self.workers < 0:
-            raise ParameterError("workers must be >= 0 (0 = auto via REPRO_WORKERS)")
 
     def hash_to_prime(self) -> HashToPrime:
         """The shared ``H_prime`` instance (domain-separated per parameters).
@@ -71,19 +64,6 @@ class SlicerParams:
             prime_bits=self.prime_bits,
             multiset_field=self.multiset_field,
             accumulator=self.accumulator.public(),
-            workers=self.workers,
-        )
-
-    def with_workers(self, workers: int) -> "SlicerParams":
-        """A copy pinned to a specific worker count (benchmark sweeps)."""
-        return SlicerParams(
-            value_bits=self.value_bits,
-            record_id_len=self.record_id_len,
-            label_len=self.label_len,
-            prime_bits=self.prime_bits,
-            multiset_field=self.multiset_field,
-            accumulator=self.accumulator,
-            workers=workers,
         )
 
     @classmethod
@@ -92,7 +72,6 @@ class SlicerParams:
         value_bits: int = 8,
         seed: int = 7,
         record_id_len: int = RECORD_ID_LEN,
-        workers: int = 0,
     ) -> "SlicerParams":
         """Small, fast, deterministic parameters for unit tests."""
         return cls(
@@ -100,17 +79,12 @@ class SlicerParams:
             record_id_len=record_id_len,
             prime_bits=64,
             accumulator=AccumulatorParams.demo(512, default_rng(seed)),
-            workers=workers,
         )
 
     @classmethod
-    def paper(cls, value_bits: int = 16, workers: int = 0) -> "SlicerParams":
+    def paper(cls, value_bits: int = 16) -> "SlicerParams":
         """Paper-faithful sizes: 2048-bit accumulator, 256-bit primes."""
-        return cls(
-            value_bits=value_bits,
-            accumulator=AccumulatorParams.demo(2048),
-            workers=workers,
-        )
+        return cls(value_bits=value_bits, accumulator=AccumulatorParams.demo(2048))
 
 
 @dataclass(frozen=True)

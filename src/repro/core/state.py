@@ -35,11 +35,7 @@ class EncryptedIndex:
 
     @property
     def entries(self) -> dict[bytes, bytes]:
-        """Read-only view of the label->payload map.
-
-        Exposed so the parallel search engine can hand the dictionary to
-        forked workers without a copy; callers must not mutate it.
-        """
+        """Read-only view of the label->payload map (callers must not mutate it)."""
         return self._entries
 
     def __len__(self) -> int:

@@ -246,17 +246,10 @@ class Accumulator:
             kernels.fixed_base_pow(self.params.generator, self.params.modulus, exponent)
         )
 
-    def witness_all(self, executor=None) -> dict[int, MembershipWitness]:
-        """Witnesses for every accumulated prime via root-factor recursion.
-
-        Pass a :class:`~repro.parallel.ParallelExecutor` to split the
-        recursion tree across workers (subtrees are independent); the
-        witness values are identical either way.
-        """
-        from ..parallel.tasks import witness_map
-
+    def witness_all(self) -> dict[int, MembershipWitness]:
+        """Witnesses for every accumulated prime via root-factor recursion."""
         n = self.params.modulus
-        raw = witness_map(self.params.generator % n, list(self._primes), n, executor)
+        raw = root_factor(self.params.generator % n, list(self._primes), n)
         return {p: MembershipWitness(w) for p, w in raw.items()}
 
     def nonmembership_witness(self, x: int) -> NonMembershipWitness:
@@ -275,6 +268,29 @@ class Accumulator:
         else:
             d = mod_inverse(kernels.fixed_base_pow(self.params.generator, n, b), n)
         return NonMembershipWitness(a, d)
+
+
+def root_factor(base: int, primes: list[int], modulus: int) -> dict[int, int]:
+    """Sander-Ta-Shma root-factor recursion: ``{p: base^(prod(primes)/p)}``.
+
+    ``O(k log k)`` exponentiations for ``k`` primes instead of ``O(k^2)``.
+    """
+    out: dict[int, int] = {}
+    if not primes:
+        return out
+    stack: list[tuple[int, list[int]]] = [(base, list(primes))]
+    while stack:
+        current, subset = stack.pop()
+        if len(subset) == 1:
+            out[subset[0]] = current
+            continue
+        mid = len(subset) // 2
+        left, right = subset[:mid], subset[mid:]
+        # Same node value raised to both sibling exponents: witness_pow's
+        # single-slot wNAF kernel reuses the odd-power table across the pair.
+        stack.append((kernels.witness_pow(current, product(right), modulus), left))
+        stack.append((kernels.witness_pow(current, product(left), modulus), right))
+    return out
 
 
 def verify_membership(

@@ -1,8 +1,7 @@
 """Single-core crypto kernels: memoization and precomputation for hot primitives.
 
-PR 1 parallelised the pipelines *across* processes; this module makes each
-process cheaper.  Four kernels, each byte-identical to the code it replaces
-(property tests assert this), each reporting to
+This module makes each process cheaper.  Four kernels, each byte-identical
+to the code it replaces (property tests assert this), each reporting to
 :mod:`repro.common.perfstats`:
 
 * **Memoized ``H_prime``** — the deterministic counter walk (one digest +
@@ -30,10 +29,8 @@ process cheaper.  Four kernels, each byte-identical to the code it replaces
   (Algorithm 5 / the contract) stays per-witness and the batch serves
   self-checks over locally computed witnesses.
 
-Every cache is **process-local** and keyed only on deterministic inputs, so
-forked parallel workers inherit a warm cache at fork time and populate their
-own copies afterwards — worker fan-out composes with, never conflicts with,
-the kernels.  ``REPRO_KERNELS=0`` disables the layer (the benchmarks use
+Every cache is **process-local** and keyed only on deterministic inputs.
+``REPRO_KERNELS=0`` disables the layer (the benchmarks use
 this for honest cold/warm comparisons).
 """
 
@@ -41,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import weakref
 
 from ..common import perfstats
 from ..common.encoding import encode_parts
@@ -402,11 +400,7 @@ class TrapdoorChainCache:
 
     __slots__ = ("public", "_memo")
 
-    def __init__(self, public=None) -> None:
-        # ``public`` may be None for a cache rebuilt from a worker export
-        # (the key object does not cross the process boundary); it is
-        # backfilled on the next `trapdoor_chain(public)` lookup, and only
-        # a *miss* needs it.
+    def __init__(self, public) -> None:
         self.public = public  # TrapdoorPublicKey (duck-typed: .apply)
         self._memo: dict[bytes, bytes] = {}
 
@@ -434,8 +428,6 @@ def trapdoor_chain(public) -> TrapdoorChainCache:
     cache = _TRAPDOOR_CHAINS.get(key)
     if cache is None:
         cache = _TRAPDOOR_CHAINS[key] = TrapdoorChainCache(public)
-    elif cache.public is None:
-        cache.public = public  # backfill a cache rebuilt from a worker export
     return cache
 
 
@@ -544,149 +536,14 @@ def batch_verify_membership(
     return lhs == rhs
 
 
-# ----------------------------------------------- cross-process cache warm-back
-
-class _CacheFamily:
-    """Hooks one externally owned cache family into the warm-back machinery."""
-
-    __slots__ = ("mark", "export_since", "absorb", "clear", "size")
-
-    def __init__(self, mark, export_since, absorb, clear=None, size=None) -> None:
-        self.mark = mark
-        self.export_since = export_since
-        self.absorb = absorb
-        self.clear = clear
-        self.size = size
-
-
-#: Cache families registered from outside this module (e.g. the cloud's
-#: epoch-suffix entry cache in :mod:`repro.core.entry_cache` — crypto cannot
-#: import core, so the dependency points the other way).
-_FAMILIES: dict[str, _CacheFamily] = {}
-
-_BUILTIN_FAMILY_KEYS = {"hash", "trapdoor"}
-
-
-def register_cache_family(
-    name: str, *, mark, export_since, absorb, clear=None, size=None
-) -> None:
-    """Register an external cache family with the mark/export/absorb plumbing.
-
-    ``mark()`` returns an opaque position marker, ``export_since(mark)`` the
-    entries added since it (empty dict when nothing), ``absorb(export)``
-    folds a worker export in (first write wins, no counters).  ``clear`` and
-    ``size`` optionally hook :func:`clear_caches` / :func:`cache_sizes`.
-    Registration is idempotent per name — module re-imports just re-bind.
-    """
-    if name in _BUILTIN_FAMILY_KEYS:
-        raise ValueError(f"cache family name {name!r} is reserved")
-    _FAMILIES[name] = _CacheFamily(mark, export_since, absorb, clear, size)
-
-
-def cache_mark() -> dict:
-    """Position marker over the exportable caches (see :func:`export_since`).
-
-    Marks are entry counts per memo dict.  Python dicts preserve insertion
-    order, so "everything after position k" is exactly "everything added
-    since the mark was taken" — as long as no eviction rotated the front.
-    Evictions start at 2^16 entries per memo, far beyond any workload that
-    fans out, and :func:`export_since` falls back to a full export when one
-    is detected.
-    """
-    mark = {
-        "hash": {key: len(memo) for key, memo in _HASH_MEMOS.items()},
-        "trapdoor": {key: len(cache._memo) for key, cache in _TRAPDOOR_CHAINS.items()},
-    }
-    for name, family in _FAMILIES.items():
-        mark[name] = family.mark()
-    return mark
-
-
-def export_since(mark: dict) -> dict:
-    """Memo entries added since ``mark`` — the worker half of warm-back.
-
-    A forked worker inherits the parent's caches, populates its own copies,
-    and dies with them; without this, a parallel run leaves the parent
-    colder than the identical serial run, and the *next* operation's
-    hit/miss counters diverge between worker configs.  Workers therefore
-    ship the new entries home alongside their results and counter delta.
-
-    Only the hash-to-prime memos and trapdoor-chain memos export: they are
-    the two caches worker tasks touch, and their keys/values are plain
-    bytes/ints.  Fixed-base tables are parent-side only (worker tasks use
-    built-in ``pow``).
-    """
-    hash_marks = mark.get("hash", {})
-    trapdoor_marks = mark.get("trapdoor", {})
-    export_hash: dict = {}
-    for key, memo in _HASH_MEMOS.items():
-        seen = hash_marks.get(key, 0)
-        if len(memo) < seen:
-            seen = 0  # eviction rotated the dict: export everything
-        if len(memo) > seen:
-            items = list(memo.items())
-            export_hash[key] = items[seen:]
-    export_trapdoor: dict = {}
-    for key, cache in _TRAPDOOR_CHAINS.items():
-        memo = cache._memo
-        seen = trapdoor_marks.get(key, 0)
-        if len(memo) < seen:
-            seen = 0
-        if len(memo) > seen:
-            items = list(memo.items())
-            export_trapdoor[key] = items[seen:]
-    out: dict = {}
-    if export_hash or export_trapdoor:
-        out = {"hash": export_hash, "trapdoor": export_trapdoor}
-    for name, family in _FAMILIES.items():
-        data = family.export_since(mark.get(name, {}))
-        if data:
-            out[name] = data
-    return out
-
-
-def absorb_cache_export(export: dict) -> None:
-    """Fold a worker's :func:`export_since` result in (the parent half).
-
-    Idempotent and order-independent: every cache memoizes a pure
-    deterministic function, so an entry arriving twice (two chunks from the
-    same worker, or two workers deriving the same key) carries the same
-    value; first write wins.  No counters move here — absorption is cache
-    state transfer, not cache activity.
-    """
-    if not export:
-        return
-    for key, items in export.get("hash", {}).items():
-        memo = _HASH_MEMOS.setdefault(key, {})
-        for data, result in items:
-            if data not in memo:
-                if len(memo) >= HASH_MEMO_MAX:
-                    del memo[next(iter(memo))]
-                memo[data] = result
-    for key, items in export.get("trapdoor", {}).items():
-        cache = _TRAPDOOR_CHAINS.get(key)
-        if cache is None:
-            cache = _TRAPDOOR_CHAINS[key] = TrapdoorChainCache()
-        memo = cache._memo
-        for trapdoor, image in items:
-            if trapdoor not in memo:
-                if len(memo) >= TRAPDOOR_CACHE_MAX:
-                    del memo[next(iter(memo))]
-                memo[trapdoor] = image
-    for name, family in _FAMILIES.items():
-        data = export.get(name)
-        if data:
-            family.absorb(data)
-
-
 # ------------------------------------------------------------------- lifecycle
 
 def hash_memo_items(prime_bits: int, domain: bytes = b"H_prime") -> list:
     """Snapshot of one ``H_prime`` memo's entries, in insertion order.
 
     Serves warm-restart checkpoints (the cloud persists its memo slice and
-    feeds it back through :func:`absorb_cache_export` on reopen); insertion
-    order is preserved so FIFO eviction behaves identically after a restart.
+    feeds it back through :func:`load_hash_memo` on reopen); insertion order
+    is preserved so FIFO eviction behaves identically after a restart.
     """
     memo = _HASH_MEMOS.get((prime_bits, domain))
     return list(memo.items()) if memo else []
@@ -698,6 +555,42 @@ def trapdoor_chain_items(public) -> list[tuple[bytes, bytes]]:
     return list(cache._memo.items()) if cache is not None else []
 
 
+def _load_fifo(memo: dict, items, cap: int) -> None:
+    """Fold checkpointed entries in: first write wins, FIFO cap, no counters.
+
+    Every memo caches a pure deterministic function, so an entry already
+    present carries the same value; loading is cache state transfer, not
+    cache activity, so no hit/miss counter moves.
+    """
+    for key, value in items:
+        if key not in memo:
+            if len(memo) >= cap:
+                del memo[next(iter(memo))]
+            memo[key] = value
+
+
+def load_hash_memo(prime_bits: int, items, domain: bytes = b"H_prime") -> None:
+    """Reload a :func:`hash_memo_items` snapshot (warm restart)."""
+    _load_fifo(_HASH_MEMOS.setdefault((prime_bits, domain), {}), items, HASH_MEMO_MAX)
+
+
+def load_trapdoor_chain(public, items) -> None:
+    """Reload a :func:`trapdoor_chain_items` snapshot (warm restart)."""
+    _load_fifo(trapdoor_chain(public)._memo, items, TRAPDOOR_CACHE_MAX)
+
+
+#: Live per-instance caches owned outside this module — the clouds'
+#: epoch-suffix entry caches, which enrol themselves (crypto cannot import
+#: core) so :func:`clear_caches` and :func:`cache_sizes` reach them.  Weak,
+#: so a discarded cloud never pins its cache.
+_INSTANCE_CACHES: "weakref.WeakSet" = weakref.WeakSet()
+
+
+def track_instance_cache(cache) -> None:
+    """Enrol a cache with ``clear()`` / ``len()`` in the lifecycle calls."""
+    _INSTANCE_CACHES.add(cache)
+
+
 def clear_caches() -> None:
     """Drop every process-local kernel cache (benchmarks' cold-path reset)."""
     global _WNAF_LAST
@@ -705,9 +598,8 @@ def clear_caches() -> None:
     _FIXED_BASES.clear()
     _TRAPDOOR_CHAINS.clear()
     _WNAF_LAST = None
-    for family in _FAMILIES.values():
-        if family.clear is not None:
-            family.clear()
+    for cache in list(_INSTANCE_CACHES):
+        cache.clear()
 
 
 def cache_sizes() -> dict[str, int]:
@@ -721,8 +613,6 @@ def cache_sizes() -> dict[str, int]:
         "wnaf_tables": 0
         if _WNAF_LAST is None
         else sum(len(pos) + len(neg) for pos, neg in _WNAF_LAST._tables.values()),
+        "entry_cache": sum(len(cache) for cache in list(_INSTANCE_CACHES)),
     }
-    for name, family in _FAMILIES.items():
-        if family.size is not None:
-            sizes[f"{name}_cache"] = family.size()
     return sizes

@@ -5,9 +5,8 @@ refunded, what evidence the contract saw — so the reproduction carries a
 first-class observability substrate:
 
 * :mod:`repro.obs.metrics` — a registry of counters (the
-  :mod:`repro.common.perfstats` store, now merged across worker processes
-  by the parallel executor), histograms (latencies, result sizes, gas) and
-  gauges, with explicit cross-process aggregation;
+  :mod:`repro.common.perfstats` store), histograms (latencies, result
+  sizes, gas) and gauges;
 * :mod:`repro.obs.trace` — lightweight structured spans with ids/parents
   covering submit → search → verify → settle and install/ADS-update,
   emitted as JSONL; chaos-transport fault injections and retries attach as

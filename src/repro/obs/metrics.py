@@ -1,10 +1,9 @@
-"""The metrics registry: counters + histograms + gauges, merge-friendly.
+"""The metrics registry: counters + histograms + gauges.
 
 This subsumes :mod:`repro.common.perfstats`: the registry's counter section
 *is* the perfstats store (same dict, same names), so every existing
-``perfstats.incr`` call site reports here without churn, and the new
-cross-process delta merge in :mod:`repro.parallel.executor` fixes both at
-once.  On top of counters the registry adds
+``perfstats.incr`` call site reports here without churn.  On top of
+counters the registry adds
 
 * **histograms** — fixed-bound bucket distributions for per-phase latency,
   result-set sizes and gas.  Bounds are explicit and deterministic, so two
@@ -12,13 +11,6 @@ once.  On top of counters the registry adds
   value-deterministic metric (sizes, gas, attempts); only wall-clock
   histograms (named ``*_s`` by convention) vary between runs;
 * **gauges** — last-write-wins point-in-time values (cache sizes, primes).
-
-Cross-process contract: worker tasks return a **counter delta** (computed
-against a per-task baseline snapshot) alongside their results, and the
-executor merges the deltas back in chunk order — counters are therefore
-identical at ``workers=0`` and ``workers=2``.  Histograms and gauges are
-parent-side only: every protocol-level observation (gas, result sizes,
-span durations) happens in the coordinating process.
 
 ``REPRO_OBS=0`` disables histograms and gauges (observe/set become no-ops);
 counters are exempt from the kill switch — they are one dict op each and
@@ -143,10 +135,6 @@ class MetricsRegistry:
     def get(self, name: str) -> int:
         return self.counters.get(name)
 
-    def merge_counter_delta(self, delta: dict[str, int]) -> None:
-        """Fold a worker task's counter delta back in (cross-process merge)."""
-        self.counters.merge(delta)
-
     # ----------------------------------------------------------- histograms
 
     def observe(self, name: str, value: float, bounds: tuple[float, ...] | None = None) -> None:
@@ -186,7 +174,6 @@ class MetricsRegistry:
     def deterministic_snapshot(
         self,
         exclude_prefixes: tuple[str, ...] = (
-            "parallel.",
             "modmath.backend.",
             "wnaf.",
             "shard.",
@@ -206,9 +193,7 @@ class MetricsRegistry:
         """The machine-independent slice of :meth:`snapshot`.
 
         Drops wall-clock histograms (names ending ``_s``) and
-        execution-shape counters: ``parallel.*`` (dispatch counts differ
-        between serial and fanned-out runs by construction),
-        ``modmath.backend.*`` (records *which* bignum backend resolved, not
+        execution-shape counters: ``modmath.backend.*`` (records *which* bignum backend resolved, not
         what was computed) and ``wnaf.*`` (the wNAF kernel only engages on
         the pure-python backend, so its activity is backend-shaped too).
         Topology-shaped counters are excluded the same way: ``shard.*``
@@ -232,10 +217,9 @@ class MetricsRegistry:
         (``cloud.collect.*``, entry-cache hits, dedup savings,
         ``hash_to_prime.*``, settlement/audit counts): summed across
         shards they equal the single-cloud run exactly.  What remains must
-        be byte-identical at any worker count, on any backend, at any
-        shard count, and in either settlement mode; the cross-worker/
-        cross-shard/cross-mode property tests and the CI counter gates
-        compare exactly this.
+        be byte-identical on any backend, at any shard count, and in either
+        settlement mode; the cross-shard/cross-mode property tests and the
+        CI counter gates compare exactly this.
         """
         return {
             "counters": {

@@ -23,8 +23,7 @@ folded into the metrics registry as ``span.<name>_s`` histograms (the
 comparisons).  Everything is a no-op under ``REPRO_OBS=0``.
 
 Tracing is single-process by design: spans cover party boundaries, which
-all run in the coordinating process.  Forked workers do pure chunk math and
-report through counters, not spans.
+all run in the coordinating process.
 """
 
 from __future__ import annotations

@@ -20,9 +20,7 @@ bit for bit).
 
 Two execution paths exist.  The **in-process simulation** (default) serves
 shards sequentially in shard-id order — deterministic, used by tests and
-benchmarks; with ``params.workers > 1`` entry collection fans out one job
-per shard (see :func:`~repro.parallel.tasks.shard_collect_chunk`) instead
-of the flat token-chunk pool.  With a ``transport`` the request legs cross
+benchmarks.  With a ``transport`` the request legs cross
 the fault-injecting :class:`~repro.chaos.ChaosTransport` on **per-shard
 channels** (``contract->cloud#shardK``), each with its own retry budget and
 crash-restart hook backed by a per-shard durable snapshot.  The real
@@ -42,14 +40,10 @@ from ..chaos import CONTRACT_TO_CLOUD, RetryPolicy, shard_channel
 from ..common import perfstats
 from ..common.encoding import encode_parts, encode_uint
 from ..common.errors import ParameterError, StateError
-from ..crypto import kernels
 from ..crypto.accumulator import MembershipWitness
 from ..obs import metrics, trace
-from ..parallel import ParallelExecutor
-from ..parallel.tasks import CollectShared, TokenWork, shard_collect_chunk
 from ..core import wire
 from ..core.cloud import CloudServer, SearchResponse, TokenResult
-from ..core.entry_cache import CollectResult
 from ..core.params import SlicerParams
 from ..core.tokens import SearchToken
 from ..crypto.trapdoor import TrapdoorPublicKey
@@ -93,7 +87,6 @@ class ShardedCloudFrontend:
         self._dead: set[int] = set()
         #: Root of the per-shard segment stores once :meth:`attach_store` ran.
         self._store_root: pathlib.Path | None = None
-        self._executor = ParallelExecutor(params.workers)
 
     # ---------------------------------------------------------------- state
 
@@ -261,14 +254,13 @@ class ShardedCloudFrontend:
         for i, token in enumerate(tokens):
             groups.setdefault(self.plan.shard_of(token.g1), []).append(i)
         perfstats.incr("shard.scatter")
-        collected = self._precollect(tokens, groups)
         results: list[TokenResult | None] = [None] * len(tokens)
         for sid in sorted(groups):
             indices = groups[sid]
             shard_tokens = [tokens[i] for i in indices]
             perfstats.incr(f"shard.route.tokens.s{sid}", len(indices))
             with trace.span("shard.search", shard=sid, tokens=len(indices)):
-                partial = self._shard_search(sid, shard_tokens, collected.get(sid))
+                partial = self._shard_search(sid, shard_tokens)
             perfstats.incr(
                 f"shard.route.entries.s{sid}",
                 sum(len(r.entries) for r in partial.results),
@@ -326,17 +318,12 @@ class ShardedCloudFrontend:
 
     # ------------------------------------------------------------ internals
 
-    def _shard_search(
-        self,
-        sid: int,
-        shard_tokens: list[SearchToken],
-        collected: dict[SearchToken, CollectResult] | None,
-    ) -> SearchResponse:
+    def _shard_search(self, sid: int, shard_tokens: list[SearchToken]) -> SearchResponse:
         if sid in self._dead:
             return self._dead_response(sid, shard_tokens)
         server = self.shard_servers[sid]
         if self.transport is None:
-            return server.search(shard_tokens, _collected=collected, _observe=False)
+            return server.search(shard_tokens, _observe=False)
 
         # Chaos leg: this shard's scatter crosses the transport on its own
         # channel, retried independently; a crash fault restarts only this
@@ -380,60 +367,6 @@ class ShardedCloudFrontend:
         return SearchResponse(
             [TokenResult(t, [], MembershipWitness(1)) for t in shard_tokens]
         )
-
-    def _precollect(
-        self, tokens: list[SearchToken], groups: dict[int, list[int]]
-    ) -> dict[int, dict[SearchToken, CollectResult]]:
-        """Per-shard collection fan-out: one executor job per shard.
-
-        Replaces the flat token-chunk pool for sharded serving: each worker
-        walks one shard's *unique* tokens (first-occurrence order, exactly
-        the dedup :meth:`CloudServer.search` applies) against that shard's
-        fork-inherited index slice and entry cache.  Counter deltas and
-        cache exports ride home through the executor machinery, so counters
-        and cache state match the serial per-shard loop bit for bit.
-        Returns ``{}`` (shards collect for themselves) when the fan-out
-        would not pay or is unavailable; only applies to the direct path.
-        """
-        if self.transport is not None or not self._executor.parallel_available:
-            return {}
-        live = [sid for sid in sorted(groups) if sid not in self._dead]
-        unique_by_shard: dict[int, list[SearchToken]] = {}
-        for sid in live:
-            seen: dict[SearchToken, None] = {}
-            for i in groups[sid]:
-                seen.setdefault(tokens[i], None)
-            unique_by_shard[sid] = list(seen)
-        total = sum(len(v) for v in unique_by_shard.values())
-        if len(live) < 2 or total < max(2, self._executor.min_items):
-            return {}
-        kernels_on = kernels.kernels_enabled()
-        shared = tuple(
-            CollectShared(
-                self.shard_servers[sid].index.entries,
-                self.params.label_len,
-                self.shard_servers[sid].trapdoor_public,
-                self.shard_servers[sid]._entry_cache if kernels_on else None,
-                self.params.multiset_field,
-            )
-            for sid in live
-        )
-        jobs = [
-            (
-                slot,
-                tuple(
-                    TokenWork(t.trapdoor, t.epoch, t.g1, t.g2)
-                    for t in unique_by_shard[sid]
-                ),
-            )
-            for slot, sid in enumerate(live)
-        ]
-        perfstats.incr("shard.fanout.dispatches")
-        results = self._executor.run_jobs(shard_collect_chunk, jobs, shared=shared)
-        return {
-            sid: dict(zip(unique_by_shard[sid], per_shard))
-            for sid, per_shard in zip(live, results)
-        }
 
     def _observe_search(
         self, tokens: list[SearchToken], response: SearchResponse

@@ -15,6 +15,12 @@ plus :func:`~repro.sharding.plan.dump_shard_package` for installs — the
 bytes on the socket are the bytes the chaos transport faults, so the two
 execution paths exercise one serialization surface.
 
+Bytes from the socket only ever produce a typed refusal.  A server answers
+a corrupt frame or malformed envelope with an error reply and keeps
+serving; an oversized length prefix gets an error reply and a hang-up,
+because the unread body leaves the stream unsynchronised.  A client drops
+its connection on any transport failure and reconnects on the next call.
+
 ``examples/sharded_serving.py`` runs the whole thing on localhost.
 """
 
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import asyncio
 
-from ..common.errors import StateError
+from ..common.errors import ReproError, StateError
 from ..chaos.transport import frame, unframe
 from ..core import wire
 from ..core.cloud import CloudServer, SearchResponse
@@ -43,18 +49,27 @@ _STATUS_ERROR = b"error"
 _MAX_MESSAGE = 1 << 30
 
 
-async def _read_message(reader: asyncio.StreamReader) -> bytes:
+async def _read_frame(reader: asyncio.StreamReader) -> bytes:
+    """One length-prefixed frame, still framed (see :func:`unframe`)."""
     header = await reader.readexactly(4)
     length = int.from_bytes(header, "big")
     if length > _MAX_MESSAGE:
         raise StateError(f"oversized shard-rpc message ({length} bytes)")
-    return unframe(await reader.readexactly(length))
+    return await reader.readexactly(length)
+
+
+async def _read_message(reader: asyncio.StreamReader) -> bytes:
+    return unframe(await _read_frame(reader))
 
 
 async def _write_message(writer: asyncio.StreamWriter, payload: bytes) -> None:
     framed = frame(payload)
     writer.write(len(framed).to_bytes(4, "big") + framed)
     await writer.drain()
+
+
+def _error_reply(exc: Exception) -> bytes:
+    return codec.pack(_KIND_REPLY, _STATUS_ERROR, str(exc).encode("utf-8"))
 
 
 class ShardServer:
@@ -83,18 +98,21 @@ class ShardServer:
         try:
             while True:
                 try:
-                    request = await _read_message(reader)
-                except (asyncio.IncompleteReadError, ConnectionResetError):
+                    blob = await _read_frame(reader)
+                except StateError as exc:
+                    # Oversized prefix: the body was never read, so the
+                    # stream cannot be resynchronised.  Refuse, then hang up.
+                    await _write_message(writer, _error_reply(exc))
                     break
-                op, body = codec.unpack(request, _KIND_REQUEST)
                 try:
+                    op, body = codec.unpack(unframe(blob), _KIND_REQUEST)
                     result = self._dispatch(op, body)
                     reply = codec.pack(_KIND_REPLY, _STATUS_OK, result)
                 except Exception as exc:  # fault isolation: report, keep serving
-                    reply = codec.pack(
-                        _KIND_REPLY, _STATUS_ERROR, str(exc).encode("utf-8")
-                    )
+                    reply = _error_reply(exc)
                 await _write_message(writer, reply)
+        except (asyncio.IncompleteReadError, ConnectionError):
+            pass  # peer went away mid-message: nothing left to answer
         finally:
             writer.close()
             try:
@@ -142,14 +160,19 @@ class ShardClient:
 
     async def _call(self, shard_id: int, op: bytes, body: bytes) -> bytes:
         async with self._locks[shard_id]:
-            stream = self._streams[shard_id]
-            if stream is None:
-                host, port = self.addresses[shard_id]
-                stream = await asyncio.open_connection(host, port)
-                self._streams[shard_id] = stream
-            reader, writer = stream
-            await _write_message(writer, codec.pack(_KIND_REQUEST, op, body))
-            status, payload = codec.unpack(await _read_message(reader), _KIND_REPLY)
+            try:
+                stream = self._streams[shard_id]
+                if stream is None:
+                    host, port = self.addresses[shard_id]
+                    stream = await asyncio.open_connection(host, port)
+                    self._streams[shard_id] = stream
+                reader, writer = stream
+                await _write_message(writer, codec.pack(_KIND_REQUEST, op, body))
+                status, payload = codec.unpack(await _read_message(reader), _KIND_REPLY)
+            except (OSError, EOFError, ReproError, ValueError) as exc:
+                # The stream's position is unknown now: never reuse it.
+                await self._drop(shard_id)
+                raise StateError(f"shard {shard_id} transport failure: {exc}") from exc
         if status != _STATUS_OK:
             raise StateError(f"shard {shard_id} error: {payload.decode('utf-8')}")
         return payload
@@ -189,12 +212,15 @@ class ShardClient:
                 results[i] = result
         return SearchResponse([r for r in results if r is not None])
 
+    async def _drop(self, shard_id: int) -> None:
+        stream, self._streams[shard_id] = self._streams[shard_id], None
+        if stream is not None:
+            stream[1].close()
+            try:
+                await stream[1].wait_closed()
+            except ConnectionError:
+                pass
+
     async def close(self) -> None:
-        for stream in self._streams:
-            if stream is not None:
-                stream[1].close()
-                try:
-                    await stream[1].wait_closed()
-                except (ConnectionResetError, BrokenPipeError):
-                    pass
-        self._streams = [None] * self.plan.shards
+        for shard_id in range(self.plan.shards):
+            await self._drop(shard_id)

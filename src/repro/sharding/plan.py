@@ -8,7 +8,7 @@ keyword's PRF output ``G1``:
   keyword, never on the epoch, so a keyword's *entire* trapdoor chain lives
   on exactly one shard and epoch walks never cross shard boundaries;
 * **available on both sides** — the owner sees ``G1`` while staging
-  Build/Insert (:class:`~repro.parallel.tasks.KeywordJob`) and the serving
+  Build/Insert (``DataOwner._index_batch``) and the serving
   tier sees it on every :class:`~repro.core.tokens.SearchToken`, so install
   and search route identically without extra state;
 * **keyword-blind** — ``G1`` is pseudorandom, so the router learns nothing

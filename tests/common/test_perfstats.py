@@ -78,7 +78,7 @@ class TestHitRates:
 
 
 class TestDeltaMerge:
-    """The two halves of the cross-process counter merge."""
+    """Per-counter deltas against an earlier snapshot."""
 
     def test_delta_since_reports_only_changes(self, stats):
         stats.incr("a", 2)
@@ -90,29 +90,6 @@ class TestDeltaMerge:
     def test_delta_since_empty_when_idle(self, stats):
         stats.incr("a")
         assert stats.delta_since(stats.snapshot()) == {}
-
-    def test_merge_folds_delta_in(self, stats):
-        stats.incr("a", 2)
-        stats.merge({"a": 3, "b": 1})
-        assert stats.get("a") == 5
-        assert stats.get("b") == 1
-
-    def test_roundtrip_equals_serial(self):
-        # parent + (worker delta) must equal the serial run's counters
-        serial = PerfStats()
-        for _ in range(5):
-            serial.incr("memo.hit")
-        serial.incr("memo.miss", 2)
-
-        parent = PerfStats()
-        parent.incr("memo.hit", 2)
-        worker = PerfStats()
-        worker.incr("memo.hit", 2)  # state inherited at "fork"
-        base = worker.snapshot()
-        worker.incr("memo.hit", 3)
-        worker.incr("memo.miss", 2)
-        parent.merge(worker.delta_since(base))
-        assert parent.snapshot() == serial.snapshot()
 
 
 class TestModuleRegistry:

@@ -1,10 +1,10 @@
-"""Epoch-suffix entry cache: lifecycle, incremental fold, worker export."""
+"""Epoch-suffix entry cache: lifecycle and incremental fold."""
 
 import pytest
 
 from repro.common import perfstats
 from repro.common.rng import default_rng
-from repro.core import entry_cache, wire
+from repro.core import wire
 from repro.core.cloud import CloudServer
 from repro.core.entry_cache import CacheNode, EntryCache
 from repro.core.query import Query
@@ -38,58 +38,12 @@ class TestCacheLifecycle:
         assert cache.get(b"c") is not None
         assert perfstats.get("cloud.entry_cache.evicted") == 1
 
-    def test_absorb_first_write_wins_and_silent(self):
-        perfstats.reset("cloud.entry_cache.")
-        cache = EntryCache(max_nodes=2)
-        cache.install(b"a", node(b"mine"))
-        cache.absorb([(b"a", node(b"theirs")), (b"b", node(b"b")), (b"c", node(b"c"))])
-        assert cache.get(b"a") is None or cache.get(b"a").entries == (b"mine",)
-        assert len(cache) == 2
-        # Worker-side eviction is already in the merged counter delta.
-        assert perfstats.get("cloud.entry_cache.evicted") == 0
-
-
-class TestFamilyExport:
-    def test_mark_export_absorb_roundtrip(self):
-        cache = EntryCache(max_nodes=8)
-        mark = entry_cache._family_mark()
-        cache.install(b"a", node(b"a"))
-        cache.install(b"b", node(b"b"))
-        export = entry_cache._family_export(mark)
-        assert [k for k, _ in export[cache.cache_id]] == [b"a", b"b"]
-        # Parent half: clear (simulating a cache that never saw the nodes)
-        # and fold the export back in.
-        cache.clear()
-        entry_cache._family_absorb(export)
-        assert cache.get(b"a").entries == (b"a",)
-        assert cache.get(b"b").entries == (b"b",)
-
-    def test_export_after_rotation_sends_everything(self):
-        cache = EntryCache(max_nodes=2)
-        cache.install(b"a", node(b"a"))
-        cache.install(b"b", node(b"b"))
-        mark = entry_cache._family_mark()
-        cache.install(b"c", node(b"c"))  # evicts b"a": len stays at the mark
-        export = entry_cache._family_export(mark)
-        assert sorted(k for k, _ in export.get(cache.cache_id, [])) == [b"b", b"c"]
-
-    def test_absorb_skips_dead_cache_ids(self):
-        entry_cache._family_absorb({-1: [(b"x", node(b"x"))]})  # must not raise
-
-    def test_registered_as_kernel_family(self):
+    def test_clear_caches_reaches_live_caches(self):
         cache = EntryCache()
         cache.install(b"a", node(b"a"))
         assert kernels.cache_sizes()["entry_cache"] >= 1
-        assert "entry" in kernels.cache_mark()
         kernels.clear_caches()
         assert len(cache) == 0
-
-    @pytest.mark.parametrize("reserved", ["hash", "trapdoor"])
-    def test_builtin_family_names_are_reserved(self, reserved):
-        with pytest.raises(ValueError, match="reserved"):
-            kernels.register_cache_family(
-                reserved, mark=dict, export_since=lambda m: {}, absorb=lambda e: None
-            )
 
 
 @pytest.fixture()

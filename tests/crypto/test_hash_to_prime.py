@@ -1,13 +1,18 @@
 """H_prime: determinism, primality, fixed size, collision behaviour."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.common.errors import ParameterError
 from repro.crypto.hash_to_prime import HashToPrime
 from repro.crypto.kernels import MemoizedHashToPrime
 from repro.crypto.primes import is_prime
-from repro.parallel.executor import ParallelExecutor
-from repro.parallel.tasks import hash_to_prime_chunk
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -106,17 +111,33 @@ class TestMemoizedParity:
 
 
 class TestCrossProcessDeterminism:
-    def test_forked_workers_agree_with_parent(self):
-        """The memoized walk is pure: forked worker processes (which inherit
-        a warm memo and then diverge) return the same primes the parent
-        derives serially."""
-        executor = ParallelExecutor(workers=2, min_items=1)
-        if not executor.parallel_available:
-            pytest.skip("fork start method unavailable")
+    def test_fresh_interpreter_agrees_with_parent(self):
+        """H_prime is a pure function of its input bytes: a freshly spawned
+        interpreter (cold memo, its own hash seed) derives the same primes
+        as this process.  Socket shards and reopened segment stores rely on
+        exactly this to recompute primes the owner derived elsewhere."""
         payloads = [b"proc" + i.to_bytes(4, "big") for i in range(8)]
-        serial = hash_to_prime_chunk((64,), payloads)
-        parallel = executor.map_chunks(hash_to_prime_chunk, payloads, shared=(64,))
-        assert parallel == serial
+        script = (
+            "import sys\n"
+            "from repro.crypto.kernels import memoized_hash_to_prime\n"
+            "h = memoized_hash_to_prime(64)\n"
+            "for line in sys.stdin.read().split():\n"
+            "    print(h(bytes.fromhex(line)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="random")
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            input="\n".join(p.hex() for p in payloads),
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+            timeout=60,
+        )
+        parent = MemoizedHashToPrime(64)
+        assert [int(line) for line in child.stdout.split()] == [
+            parent(p) for p in payloads
+        ]
 
 
 class TestCounterAccounting:

@@ -120,8 +120,8 @@ class TestProductTree:
         assert len(tree._forest) <= 11
 
     def test_forest_state_stays_plain_int(self):
-        """The forest is pickled into workers and cache exports; backend
-        types must never leak into it."""
+        """Backend types must never leak into the forest: plain ints
+        compare and serialise identically on every backend."""
         tree = ProductTree([3, 5, 7, 11, 13])
         assert all(type(prod) is int for _, prod in tree._forest)
         assert type(tree.root) is int

@@ -4,13 +4,13 @@ The tentpole invariance, asserted across the execution-shape grid:
 
 * **outcomes** — verdicts, record IDs, wire responses, submit/settle gas
   and final balances are bit-identical between ``settlement_mode="sync"``
-  and ``"block"``, at workers 0 and 2, at shards 1 and 4, through single
+  and ``"block"``, at shards 1 and 4, through single
   searches, inserts and block-batched searches;
 * **counters** — the deterministic counter snapshot is identical across
   modes: block production moves *when* a settlement lands, never how much
   protocol work or gas it takes (``mempool.*``/``blocks.*``/
   ``blockmode.*``/``light_client.*`` delivery machinery is excluded at the
-  source, like ``parallel.*`` and ``shard.*`` before it);
+  source, like ``shard.*`` before it);
 * **fault determinism** — the same seed yields a bit-identical
   ``ChainFaultPlan.history`` run to run, and enabling chain faults leaves
   the *transport* fault schedule untouched (independent RNG streams);
@@ -56,12 +56,11 @@ def fresh_process_state():
     REGISTRY.reset()
 
 
-def deploy(tparams, owner_factory, mode, workers=0, shards=1, chain_faults=None, seed=11):
-    params = tparams.with_workers(workers)
+def deploy(tparams, owner_factory, mode, shards=1, chain_faults=None, seed=11):
     system = SlicerSystem(
-        params,
+        tparams,
         rng=default_rng(seed),
-        owner=owner_factory(params, seed=seed),
+        owner=owner_factory(tparams, seed=seed),
         shards=shards,
         settlement_mode=mode,
         chain_faults=chain_faults,
@@ -95,16 +94,13 @@ def fingerprint(outcome):
     )
 
 
-@pytest.mark.parametrize("workers", [0, 2])
 @pytest.mark.parametrize("shards", [1, 4])
 class TestModeEquivalence:
-    def test_block_equals_sync_everywhere(
-        self, tparams, owner_factory, workers, shards
-    ):
+    def test_block_equals_sync_everywhere(self, tparams, owner_factory, shards):
         runs = {}
         for mode in ("sync", "block"):
             fresh_process_state()
-            system = deploy(tparams, owner_factory, mode, workers, shards)
+            system = deploy(tparams, owner_factory, mode, shards)
             outcomes = run_scenario(system)
             runs[mode] = (
                 [fingerprint(o) for o in outcomes],
@@ -196,12 +192,11 @@ class TestFaultDeterminism:
             ("with", ChainFaultPlan(chain_profile_named("reorgy"), seed=23)),
         ):
             fresh_process_state()
-            params = tparams.with_workers(0)
             transport = ChaosTransport(FaultPlan(profile_named("lossy"), seed=17))
             system = SlicerSystem(
-                params,
+                tparams,
                 rng=default_rng(11),
-                owner=owner_factory(params, seed=11),
+                owner=owner_factory(tparams, seed=11),
                 transport=transport,
                 settlement_mode="block",
                 chain_faults=chain_faults,

@@ -4,10 +4,10 @@ Two equivalences pin the chaos layer down:
 
 * **transparency** — a fault-free (``clean`` profile) chaos run is
   byte-identical to the direct in-process path: same responses on the wire,
-  same verdicts, same decrypted IDs, at ``workers`` 0 and 2 alike;
+  same verdicts, same decrypted IDs;
 * **determinism** — the same chaos seed replays the identical fault
-  schedule, outcomes, and ``chaos.*`` / ``retry.*`` counters, regardless of
-  the worker count (the fault plan's RNG is independent of the protocol's).
+  schedule, outcomes, and ``chaos.*`` / ``retry.*`` counters (the fault
+  plan's RNG is independent of the protocol's).
 
 Only ``chaos.*`` / ``retry.*`` counters are compared: kernel counters
 (memo hits etc.) are process-warm, so their absolute values depend on what
@@ -39,12 +39,11 @@ def database(values, start=0):
     )
 
 
-def build_system(tparams, owner_factory, workers, seed, transport=None):
-    params = tparams.with_workers(workers)
+def build_system(tparams, owner_factory, seed, transport=None):
     system = SlicerSystem(
-        params,
+        tparams,
         rng=default_rng(seed),
-        owner=owner_factory(params, seed=seed),
+        owner=owner_factory(tparams, seed=seed),
         transport=transport,
     )
     system.setup(database(VALUES))
@@ -78,14 +77,11 @@ def outcome_fingerprint(outcome):
 
 
 class TestCleanChaosTransparency:
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_clean_chaos_byte_identical_to_direct(
-        self, tparams, owner_factory, workers
-    ):
-        direct = run_scenario(build_system(tparams, owner_factory, workers, seed=7))
+    def test_clean_chaos_byte_identical_to_direct(self, tparams, owner_factory):
+        direct = run_scenario(build_system(tparams, owner_factory, seed=7))
         transport = ChaosTransport(FaultPlan(profile_named("clean"), seed=1))
         chaos = run_scenario(
-            build_system(tparams, owner_factory, workers, seed=7, transport=transport)
+            build_system(tparams, owner_factory, seed=7, transport=transport)
         )
         assert len(direct) == len(chaos)
         for d, c in zip(direct, chaos):
@@ -97,7 +93,7 @@ class TestCleanChaosTransparency:
     def test_clean_chaos_injects_nothing(self, tparams, owner_factory):
         perfstats.reset()
         transport = ChaosTransport(FaultPlan(profile_named("clean"), seed=1))
-        run_scenario(build_system(tparams, owner_factory, 0, seed=7, transport=transport))
+        run_scenario(build_system(tparams, owner_factory, seed=7, transport=transport))
         counters = chaos_counters()
         assert not any(k.startswith("chaos.injected.") for k in counters)
         assert counters.get("retry.gave_up", 0) == 0
@@ -113,9 +109,7 @@ class TestSeedDeterminism:
         for _ in range(2):
             perfstats.reset()
             transport = ChaosTransport(FaultPlan(profile_named(profile), seed=9))
-            system = build_system(
-                tparams, owner_factory, 0, seed=7, transport=transport
-            )
+            system = build_system(tparams, owner_factory, seed=7, transport=transport)
             outcomes = run_scenario(system)
             runs.append(
                 (
@@ -127,29 +121,10 @@ class TestSeedDeterminism:
             )
         assert runs[0] == runs[1]
 
-    def test_schedule_independent_of_worker_count(self, tparams, owner_factory):
-        """Fault plan and counters must not see the execution knob."""
-        runs = {}
-        for workers in (0, 2):
-            perfstats.reset()
-            transport = ChaosTransport(FaultPlan(profile_named("lossy"), seed=9))
-            system = build_system(
-                tparams, owner_factory, workers, seed=7, transport=transport
-            )
-            outcomes = run_scenario(system)
-            runs[workers] = (
-                [outcome_fingerprint(o) for o in outcomes],
-                chaos_counters(),
-                list(transport.plan.history),
-            )
-        assert runs[0] == runs[2]
-
     def test_different_seeds_diverge(self, tparams, owner_factory):
         histories = []
         for seed in (9, 10):
             transport = ChaosTransport(FaultPlan(profile_named("lossy"), seed=seed))
-            run_scenario(
-                build_system(tparams, owner_factory, 0, seed=7, transport=transport)
-            )
+            run_scenario(build_system(tparams, owner_factory, seed=7, transport=transport))
             histories.append(list(transport.plan.history))
         assert histories[0] != histories[1]

@@ -1,6 +1,6 @@
 """Warm ≡ cold: the epoch-suffix result cache is an execution knob, never a
-protocol input.  For any database, insert sequence, query and worker count,
-a repeat search served from the cache must be byte-identical (full wire
+protocol input.  For any database, insert sequence and query, a repeat
+search served from the cache must be byte-identical (full wire
 ``SearchResponse``, witnesses included) to a cold search, to a fresh-cloud
 cold oracle, and to the plain ``REPRO_KERNELS=0`` loop — and the batched
 ``search_many`` must reproduce per-query ``search`` exactly."""
@@ -31,7 +31,6 @@ queries = st.tuples(
     st.integers(0, 255),
     st.sampled_from([MatchCondition.EQUAL, MatchCondition.GREATER, MatchCondition.LESS]),
 )
-worker_counts = st.sampled_from([1, 2])
 
 
 @contextmanager
@@ -47,17 +46,14 @@ def kernels_set(enabled: bool):
             os.environ[kernels.KERNELS_ENV] = old
 
 
-def deploy(values, batches, workers, seed):
+def deploy(values, batches, seed):
     """Build + the insert sequence; returns (owner, cloud, last output)."""
-    params = PARAMS.with_workers(workers)
-    owner = DataOwner(params, keys=KEYS, rng=default_rng(seed))
-    owner._executor.min_items = 1
+    owner = DataOwner(PARAMS, keys=KEYS, rng=default_rng(seed))
     db = Database(8)
     for i, v in enumerate(values):
         db.add(i, v)
     out = owner.build(db)
-    cloud = CloudServer(params, KEYS.trapdoor.public)
-    cloud._executor.min_items = 1  # fan out even on tiny fixtures
+    cloud = CloudServer(PARAMS, KEYS.trapdoor.public)
     cloud.install(out.cloud_package)
     for b, extra in enumerate(batches):
         add = Database(8)
@@ -69,20 +65,20 @@ def deploy(values, batches, workers, seed):
 
 
 class TestWarmColdEquivalence:
-    @given(values=value_lists, batches=insert_batches, q=queries, workers=worker_counts)
+    @given(values=value_lists, batches=insert_batches, q=queries)
     @settings(max_examples=8, deadline=None)
-    def test_warm_cold_plain_byte_identical(self, values, batches, q, workers):
+    def test_warm_cold_plain_byte_identical(self, values, batches, q):
         seed = hash((tuple(values), tuple(map(tuple, batches)))) & 0xFFFF
         with kernels_set(True):
             kernels.clear_caches()
-            _, cloud, out = deploy(values, batches, workers, seed)
+            _, cloud, out = deploy(values, batches, seed)
             user = DataUser(PARAMS, out.user_package, default_rng(3))
             tokens = user.make_tokens(Query(*q))
             cold = wire.dump_response(cloud.search(tokens))
             warm = wire.dump_response(cloud.search(tokens))
             warm2 = wire.dump_response(cloud.search(tokens))
         with kernels_set(False):
-            _, plain_cloud, _ = deploy(values, batches, workers, seed)
+            _, plain_cloud, _ = deploy(values, batches, seed)
             plain = wire.dump_response(plain_cloud.search(tokens))
         assert cold == plain
         assert warm == plain
@@ -98,7 +94,7 @@ class TestWarmColdEquivalence:
         seed = (hash(tuple(values)) ^ hash(tuple(extra))) & 0xFFFF
         with kernels_set(True):
             kernels.clear_caches()
-            owner, cloud, out = deploy(values, [], 1, seed)
+            owner, cloud, out = deploy(values, [], seed)
             user = DataUser(PARAMS, out.user_package, default_rng(3))
             # Warm the suffix the post-insert walk will splice.
             cloud.search(user.make_tokens(Query.parse(values[0], "=")))
@@ -124,7 +120,7 @@ class TestWarmColdEquivalence:
         seed = hash(tuple(values)) & 0xFFFF
         with kernels_set(True):
             kernels.clear_caches()
-            _, cloud, out = deploy(values, [], 1, seed)
+            _, cloud, out = deploy(values, [], seed)
             user = DataUser(PARAMS, out.user_package, default_rng(5))
             tokens = user.make_tokens(Query(*q))
             ids_cold = user.decrypt_results(cloud.search(tokens))
@@ -136,14 +132,13 @@ class TestBatchEquivalence:
     @given(
         values=value_lists,
         qs=st.lists(queries, min_size=1, max_size=3),
-        workers=worker_counts,
     )
     @settings(max_examples=8, deadline=None)
-    def test_search_many_matches_per_query_search(self, values, qs, workers):
+    def test_search_many_matches_per_query_search(self, values, qs):
         seed = hash(tuple(values)) & 0xFFFF
         with kernels_set(True):
             kernels.clear_caches()
-            _, cloud, out = deploy(values, [], workers, seed)
+            _, cloud, out = deploy(values, [], seed)
             user = DataUser(PARAMS, out.user_package, default_rng(3))
             # Duplicate the first query so cross-query dedup always engages.
             token_lists = [user.make_tokens(Query(*q)) for q in qs]
@@ -160,46 +155,17 @@ class TestBatchEquivalence:
         seed = hash(tuple(values)) & 0xFFFF
         with kernels_set(True):
             kernels.clear_caches()
-            _, cloud, out = deploy(values, [], 1, seed)
+            _, cloud, out = deploy(values, [], seed)
             user = DataUser(PARAMS, out.user_package, default_rng(3))
             token_lists = [user.make_tokens(Query(*q)) for q in qs]
             batched = [wire.dump_response(r) for r in cloud.search_many(token_lists)]
         with kernels_set(False):
-            _, plain_cloud, _ = deploy(values, [], 1, seed)
+            _, plain_cloud, _ = deploy(values, [], seed)
             plain = [
                 wire.dump_response(plain_cloud.search(tokens))
                 for tokens in token_lists
             ]
         assert batched == plain
-
-
-class TestWorkerCountInvariance:
-    @given(values=value_lists, batches=insert_batches, q=queries)
-    @settings(max_examples=6, deadline=None)
-    def test_cache_state_and_counters_identical_across_workers(
-        self, values, batches, q
-    ):
-        """Serial and forked collection install the same nodes and count the
-        same entry-cache events — the ``--exact-counters`` invariant."""
-        from repro.common import perfstats
-
-        seed = hash(tuple(values)) & 0xFFFF
-        states = {}
-        for workers in (1, 2):
-            with kernels_set(True):
-                kernels.clear_caches()
-                _, cloud, out = deploy(values, batches, workers, seed)
-                user = DataUser(PARAMS, out.user_package, default_rng(3))
-                tokens = user.make_tokens(Query(*q))
-                perfstats.reset("cloud.")
-                dumps = [wire.dump_response(cloud.search(tokens)) for _ in range(2)]
-                counters = {
-                    k: v
-                    for k, v in perfstats.snapshot().items()
-                    if k.startswith(("cloud.entry_cache.", "cloud.collect."))
-                }
-                states[workers] = (dumps, counters, dict(cloud._entry_cache.nodes))
-        assert states[1] == states[2]
 
 
 class TestChaosParity:

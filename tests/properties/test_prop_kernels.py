@@ -1,7 +1,6 @@
 """Kernels ≡ no kernels: the memo/precompute layer is an execution knob,
 never a protocol input.  For any database, insert sequence and query, a
-deployment with ``REPRO_KERNELS=1`` (warm or cold caches, serial or forked
-workers) must produce byte-identical indexes, primes, accumulation values,
+deployment with ``REPRO_KERNELS=1`` (warm or cold caches) must produce byte-identical indexes, primes, accumulation values,
 witnesses and search results to one with the layer disabled."""
 
 import os
@@ -27,7 +26,6 @@ queries = st.tuples(
     st.integers(0, 255),
     st.sampled_from([MatchCondition.EQUAL, MatchCondition.GREATER, MatchCondition.LESS]),
 )
-worker_counts = st.sampled_from([1, 2])
 
 
 @contextmanager
@@ -45,16 +43,13 @@ def kernels_off():
             os.environ[kernels.KERNELS_ENV] = old
 
 
-def deploy(values: list[int], workers: int, seed: int):
-    params = PARAMS.with_workers(workers)
-    owner = DataOwner(params, keys=KEYS, rng=default_rng(seed))
-    owner._executor.min_items = 1  # fan out even on tiny fixtures
+def deploy(values: list[int], seed: int):
+    owner = DataOwner(PARAMS, keys=KEYS, rng=default_rng(seed))
     db = Database(8)
     for i, v in enumerate(values):
         db.add(i, v)
     out = owner.build(db)
-    cloud = CloudServer(params, KEYS.trapdoor.public)
-    cloud._executor.min_items = 1
+    cloud = CloudServer(PARAMS, KEYS.trapdoor.public)
     cloud.install(out.cloud_package)
     return owner, cloud, out
 
@@ -67,15 +62,15 @@ def assert_same_package(a, b) -> None:
 
 
 class TestBuildEquivalence:
-    @given(values=value_lists, workers=worker_counts)
+    @given(values=value_lists)
     @settings(max_examples=8, deadline=None)
-    def test_build_byte_identical(self, values, workers):
+    def test_build_byte_identical(self, values):
         seed = hash(tuple(values)) & 0xFFFF
         with kernels_off():
-            _, _, plain = deploy(values, workers, seed)
+            _, _, plain = deploy(values, seed)
         kernels.clear_caches()
-        _, _, cold = deploy(values, workers, seed)  # kernels on, cold caches
-        _, _, warm = deploy(values, workers, seed)  # kernels on, warm caches
+        _, _, cold = deploy(values, seed)  # kernels on, cold caches
+        _, _, warm = deploy(values, seed)  # kernels on, warm caches
         assert_same_package(plain, cold)
         assert_same_package(plain, warm)
 
@@ -84,19 +79,18 @@ class TestInsertEquivalence:
     @given(
         values=value_lists,
         extra=st.lists(st.integers(0, 255), min_size=1, max_size=5),
-        workers=worker_counts,
     )
     @settings(max_examples=6, deadline=None)
-    def test_insert_byte_identical(self, values, extra, workers):
+    def test_insert_byte_identical(self, values, extra):
         seed = (hash(tuple(values)) ^ hash(tuple(extra))) & 0xFFFF
         add = Database(8)
         for i, v in enumerate(extra):
             add.add(f"x{i}", v)
         with kernels_off():
-            owner_plain, cloud_plain, _ = deploy(values, workers, seed)
+            owner_plain, cloud_plain, _ = deploy(values, seed)
             out_plain = owner_plain.insert(add)
             cloud_plain.install(out_plain.cloud_package)
-        owner_k, cloud_k, _ = deploy(values, workers, seed)
+        owner_k, cloud_k, _ = deploy(values, seed)
         out_k = owner_k.insert(add)
         cloud_k.install(out_k.cloud_package)
         assert_same_package(out_plain, out_k)
@@ -105,17 +99,17 @@ class TestInsertEquivalence:
 
 
 class TestSearchEquivalence:
-    @given(values=value_lists, q=queries, workers=worker_counts)
+    @given(values=value_lists, q=queries)
     @settings(max_examples=8, deadline=None)
-    def test_search_results_and_witnesses_byte_identical(self, values, q, workers):
+    def test_search_results_and_witnesses_byte_identical(self, values, q):
         seed = hash(tuple(values)) & 0xFFFF
         with kernels_off():
-            _, cloud_plain, out_plain = deploy(values, workers, seed)
+            _, cloud_plain, out_plain = deploy(values, seed)
             user = DataUser(PARAMS, out_plain.user_package, default_rng(3))
             tokens = user.make_tokens(Query(*q))
             resp_plain = cloud_plain.search(tokens)
         kernels.clear_caches()
-        _, cloud_k, _ = deploy(values, workers, seed)
+        _, cloud_k, _ = deploy(values, seed)
         resp_cold = cloud_k.search(tokens)  # cold kernel caches
         resp_warm = cloud_k.search(tokens)  # repeat query: warm trapdoor
         # chain, H_prime memo and repeat-witness cache all hit
@@ -132,12 +126,12 @@ class TestSearchEquivalence:
     def test_decrypted_result_sets_identical(self, values, q):
         seed = hash(tuple(values)) & 0xFFFF
         with kernels_off():
-            _, cloud_plain, out = deploy(values, 1, seed)
+            _, cloud_plain, out = deploy(values, seed)
             user = DataUser(PARAMS, out.user_package, default_rng(5))
             tokens = user.make_tokens(Query(*q))
             ids_plain = user.decrypt_results(cloud_plain.search(tokens))
         kernels.clear_caches()
-        _, cloud_k, _ = deploy(values, 1, seed)
+        _, cloud_k, _ = deploy(values, seed)
         assert user.decrypt_results(cloud_k.search(tokens)) == ids_plain
 
 
@@ -148,7 +142,7 @@ class TestPrimeAndCounterEquivalence:
         """The (prime, candidate-count) pairs the contract charges gas for
         are identical with the memo cold, warm, or absent."""
         seed = hash(tuple(values)) & 0xFFFF
-        _, _, out = deploy(values, 1, seed)
+        _, _, out = deploy(values, seed)
         payloads = [p.to_bytes(64, "big") for p in out.cloud_package.primes[:6]]
         with kernels_off():
             plain = [

@@ -1,11 +1,11 @@
 """Backend ≡ backend: the modmath layer is an execution knob, never a
 protocol input.  For any database, query and configuration, every modmath
-backend available in this interpreter — crossed with kernels on/off and
-worker counts — must produce byte-identical primes, H_prime counters,
+backend available in this interpreter — crossed with kernels on/off — must
+produce byte-identical primes, H_prime counters,
 packages, witnesses, search results, gas and settlement verdicts.
 
 The matrix degrades gracefully: without gmpy2 installed the backend axis is
-just ``python`` and the suite still pins kernels × workers identity; the CI
+just ``python`` and the suite still pins kernels on/off identity; the CI
 gmpy2 leg runs the full cross."""
 
 import os
@@ -55,26 +55,18 @@ def kernels_off():
 
 
 def configurations():
-    """(backend, kernels_on, workers) — every run must agree with every other."""
-    return [
-        (name, kernels_on, workers)
-        for name in BACKENDS
-        for kernels_on in (True, False)
-        for workers in (1, 2)
-    ]
+    """(backend, kernels_on) — every run must agree with every other."""
+    return [(name, kernels_on) for name in BACKENDS for kernels_on in (True, False)]
 
 
-def run_protocol(workers: int) -> dict:
+def run_protocol() -> dict:
     """One full Build + search + verify, returning every protocol byte."""
-    params = PARAMS.with_workers(workers)
-    owner = DataOwner(params, keys=KEYS, rng=default_rng(41))
-    owner._executor.min_items = 1
+    owner = DataOwner(PARAMS, keys=KEYS, rng=default_rng(41))
     db = Database(8)
     for i, v in enumerate(VALUES):
         db.add(i, v)
     out = owner.build(db)
-    cloud = CloudServer(params, KEYS.trapdoor.public)
-    cloud._executor.min_items = 1
+    cloud = CloudServer(PARAMS, KEYS.trapdoor.public)
     cloud.install(out.cloud_package)
     user = DataUser(PARAMS, out.user_package, default_rng(3))
     from repro.crypto.accumulator import Accumulator
@@ -121,24 +113,24 @@ def run_settlement(seed: int, misbehavior=None) -> dict:
 class TestProtocolByteIdentity:
     def test_full_matrix_agrees(self):
         """Primes, packages, witnesses, results and verification verdicts are
-        bit-identical across backend × kernels × workers."""
+        bit-identical across backend × kernels."""
         reference = None
         reference_config = None
-        for name, kernels_on, workers in configurations():
+        for name, kernels_on in configurations():
             kernels.clear_caches()
             with backend(name):
                 if kernels_on:
-                    got = run_protocol(workers)
+                    got = run_protocol()
                 else:
                     with kernels_off():
-                        got = run_protocol(workers)
+                        got = run_protocol()
             if reference is None:
                 reference = got
-                reference_config = (name, kernels_on, workers)
+                reference_config = (name, kernels_on)
                 continue
             for key, value in reference.items():
                 assert got[key] == value, (
-                    f"{key} diverged: {(name, kernels_on, workers)} "
+                    f"{key} diverged: {(name, kernels_on)} "
                     f"vs reference {reference_config}"
                 )
 
@@ -171,7 +163,7 @@ class TestProtocolByteIdentity:
 class TestSettlementVerdicts:
     def test_honest_search_settles_identically(self):
         reference = None
-        for name, kernels_on, _ in configurations():
+        for name, kernels_on in configurations():
             kernels.clear_caches()
             with backend(name):
                 if kernels_on:

@@ -2,13 +2,10 @@
 
 Three pillars:
 
-* **No worker-blind counters** — the registry's deterministic snapshot
-  (counters + histogram bucket counts, minus execution-shape ``parallel.*``
-  counters and wall-clock ``*_s`` histograms) is byte-identical at
-  ``workers ∈ {0, 2}``, for the direct path and for a fixed-seed chaos run
-  alike.  This is the headline bugfix: before the executor merged worker
-  counter deltas (and warmed the parent's kernel caches back), every
-  fanned-out run under-reported and diverged.
+* **Reproducible snapshots** — the registry's deterministic snapshot
+  (counters + histogram bucket counts, minus wall-clock ``*_s``
+  histograms) is byte-identical across two cold runs of the same seed, for
+  the direct path and for a fixed-seed chaos run alike.
 * **Connected traces** — a full chaos search yields one span tree: a
   ``search`` root whose trace contains submit → cloud.search →
   verify_settle, with transport fault injections and retries attached as
@@ -47,12 +44,11 @@ def database(values, start=0):
     )
 
 
-def build_system(tparams, owner_factory, workers, seed, transport=None):
-    params = tparams.with_workers(workers)
+def build_system(tparams, owner_factory, seed, transport=None):
     system = SlicerSystem(
-        params,
+        tparams,
         rng=default_rng(seed),
-        owner=owner_factory(params, seed=seed),
+        owner=owner_factory(tparams, seed=seed),
         transport=transport,
     )
     system.setup(database(VALUES))
@@ -67,18 +63,17 @@ def run_scenario(system):
     return outcomes
 
 
-def fresh_run(tparams, owner_factory, workers, transport=None, seed=7):
+def fresh_run(tparams, owner_factory, transport=None, seed=7):
     """One cold, self-contained run: every process-wide store reset first.
 
-    Cold kernel caches matter: the warm-back fix is only observable when
-    both legs start from the same cache state — a pre-warmed parent would
-    mask a worker that failed to ship its entries home.
+    Cold kernel caches matter: both legs must start from the same cache
+    state, or warm memo hits would differ between them.
     """
     REGISTRY.reset()
     kernels.clear_caches()
     trace.TRACER.reset()
     obs_audit.AUDIT_LOG.reset()
-    system = build_system(tparams, owner_factory, workers, seed=seed, transport=transport)
+    system = build_system(tparams, owner_factory, seed=seed, transport=transport)
     outcomes = run_scenario(system)
     return system, outcomes
 
@@ -88,18 +83,13 @@ def canonical(snapshot) -> str:
     return json.dumps(snapshot, sort_keys=True)
 
 
-class TestCrossWorkerSnapshotEquality:
-    def test_direct_snapshots_identical_at_workers_0_and_2(
-        self, tparams, owner_factory
-    ):
-        legs = {}
-        for workers in (0, 2):
-            fresh_run(tparams, owner_factory, workers)
-            legs[workers] = REGISTRY.deterministic_snapshot()
-            if workers == 2:
-                # the leg must actually have fanned out, or this proves nothing
-                assert REGISTRY.get("parallel.dispatch") > 0
-        assert canonical(legs[0]) == canonical(legs[2])
+class TestSnapshotDeterminism:
+    def test_direct_snapshots_identical_across_cold_runs(self, tparams, owner_factory):
+        legs = []
+        for _ in range(2):
+            fresh_run(tparams, owner_factory)
+            legs.append(REGISTRY.deterministic_snapshot())
+        assert canonical(legs[0]) == canonical(legs[1])
         # and the snapshot is not trivially empty (contract counters fire
         # regardless of the kernel layer; kernel counters only with it on)
         assert legs[0]["counters"].get("contract.settle.paid", 0) > 0
@@ -107,29 +97,15 @@ class TestCrossWorkerSnapshotEquality:
             assert legs[0]["counters"].get("hash_to_prime.miss", 0) > 0
         assert legs[0]["histograms"]
 
-    def test_chaos_snapshots_identical_at_workers_0_and_2(
-        self, tparams, owner_factory
-    ):
-        legs = {}
-        for workers in (0, 2):
+    def test_chaos_snapshots_identical_across_cold_runs(self, tparams, owner_factory):
+        legs = []
+        for _ in range(2):
             transport = ChaosTransport(FaultPlan(profile_named("lossy"), seed=9))
-            fresh_run(tparams, owner_factory, workers, transport=transport)
-            legs[workers] = REGISTRY.deterministic_snapshot()
-            if workers == 2:
-                assert REGISTRY.get("parallel.dispatch") > 0
+            fresh_run(tparams, owner_factory, transport=transport)
+            legs.append(REGISTRY.deterministic_snapshot())
             # the chaos schedule actually fired
-            assert any(
-                k.startswith("chaos.injected.") for k in legs[workers]["counters"]
-            )
-        assert canonical(legs[0]) == canonical(legs[2])
-
-    def test_parallel_shape_counters_exist_but_are_excluded(
-        self, tparams, owner_factory
-    ):
-        fresh_run(tparams, owner_factory, 2)
-        assert REGISTRY.get("parallel.dispatch") > 0
-        det = REGISTRY.deterministic_snapshot()
-        assert not any(k.startswith("parallel.") for k in det["counters"])
+            assert any(k.startswith("chaos.injected.") for k in legs[-1]["counters"])
+        assert canonical(legs[0]) == canonical(legs[1])
 
 
 def spans_by_trace(records):
@@ -144,7 +120,7 @@ class TestConnectedChaosTrace:
         self, tparams, owner_factory
     ):
         transport = ChaosTransport(FaultPlan(profile_named("lossy"), seed=9))
-        system, outcomes = fresh_run(tparams, owner_factory, 0, transport=transport)
+        system, outcomes = fresh_run(tparams, owner_factory, transport=transport)
         settled = [o for o in outcomes if o.error is None]
         assert settled, "lossy profile with liveness bound must settle searches"
 
@@ -184,7 +160,7 @@ class TestConnectedChaosTrace:
 
     def test_audit_verdicts_match_outcomes(self, tparams, owner_factory):
         transport = ChaosTransport(FaultPlan(profile_named("lossy"), seed=9))
-        system, outcomes = fresh_run(tparams, owner_factory, 0, transport=transport)
+        system, outcomes = fresh_run(tparams, owner_factory, transport=transport)
         records = obs_audit.AUDIT_LOG.records()
         assert len(records) == len(outcomes)
         by_query = {r.query_id: r for r in records}
@@ -211,7 +187,7 @@ class TestDegradedAttribution:
         # Every request-leg delivery drops: the submit retries must exhaust.
         profile = FaultProfile(name="black_hole", drop=1000, force_clean_after=1000)
         transport = ChaosTransport(FaultPlan(profile, seed=3))
-        system = build_system(tparams, owner_factory, 0, seed=7, transport=transport)
+        system = build_system(tparams, owner_factory, seed=7, transport=transport)
         trace.TRACER.reset()
         obs_audit.AUDIT_LOG.reset()
 
@@ -234,6 +210,6 @@ class TestDegradedAttribution:
         assert record.detail == outcome.error
 
     def test_direct_outcomes_have_no_failure(self, tparams, owner_factory):
-        system = build_system(tparams, owner_factory, 0, seed=7)
+        system = build_system(tparams, owner_factory, seed=7)
         outcome = system.search(QUERIES[0])
         assert outcome.error is None and outcome.failure is None

@@ -8,7 +8,7 @@ execution-shape grid:
   verdicts, record IDs, wire responses, submit/settle gas and final
   balances as compiling the same expressions and feeding the flattened
   legs to :meth:`SlicerSystem.batch_search` directly (the planner-less
-  client), at workers 0 and 2 and shards 1 and 4;
+  client), at shards 1 and 4;
 * **counters** — the deterministic snapshot matches the naive run exactly
   once the planner's own ``planner.*`` family is set aside (the naive
   path never compiles a plan, so it never ticks them), and the plan
@@ -78,12 +78,11 @@ def fresh_process_state():
     REGISTRY.reset()
 
 
-def deploy(tparams, owner_factory, workers=0, shards=1, mode="sync", seed=11):
-    params = tparams.with_workers(workers)
+def deploy(tparams, owner_factory, shards=1, mode="sync", seed=11):
     system = SlicerSystem(
-        params,
+        tparams,
         rng=default_rng(seed),
-        owner=owner_factory(params, seed=seed),
+        owner=owner_factory(tparams, seed=seed),
         shards=shards,
         settlement_mode=mode,
     )
@@ -118,41 +117,24 @@ def planner_counters(snapshot):
     }
 
 
-def drop_zero_counters(snapshot):
-    """Normalise presence-vs-absence of zero counters across worker counts.
-
-    A serial run creates a counter key even when it only ever adds 0 (e.g.
-    ``cloud.entry_cache.spliced_entries`` on a cold cache); a fanned-out
-    run never ships zero deltas home, so the key is absent.  Same work,
-    different representation — the cross-shape comparison ignores it.
-    """
-    return {
-        "counters": {k: v for k, v in snapshot["counters"].items() if v != 0},
-        "histograms": snapshot["histograms"],
-    }
-
-
-def run_plan_path(tparams, owner_factory, workers=0, shards=1, mode="sync"):
+def run_plan_path(tparams, owner_factory, shards=1, mode="sync"):
     fresh_process_state()
-    system = deploy(tparams, owner_factory, workers, shards, mode)
+    system = deploy(tparams, owner_factory, shards, mode)
     outcomes = system.search_plans(EXPRS)
     return system, outcomes, REGISTRY.deterministic_snapshot()
 
 
-@pytest.mark.parametrize("workers", [0, 2])
 @pytest.mark.parametrize("shards", [1, 4])
 class TestPlanEqualsNaive:
     def test_plan_path_is_byte_identical_to_naive_legs(
-        self, tparams, owner_factory, workers, shards
+        self, tparams, owner_factory, shards
     ):
-        system, plan_outcomes, plan_snap = run_plan_path(
-            tparams, owner_factory, workers, shards
-        )
+        system, plan_outcomes, plan_snap = run_plan_path(tparams, owner_factory, shards)
         plan_balances = system.balances()
 
         # The planner-less client: compile, flatten, loop the legs itself.
         fresh_process_state()
-        naive_system = deploy(tparams, owner_factory, workers, shards)
+        naive_system = deploy(tparams, owner_factory, shards)
         plans = compile_plans(EXPRS, BITS)
         flat_legs = [leg for plan in plans for leg in plan.legs]
         naive_outcomes = naive_system.batch_search(flat_legs)
@@ -179,10 +161,8 @@ class TestPlanEqualsNaive:
             assert outcome.verified == all(leg.verified for leg in legs)
             assert outcome.record_ids == naive_ids
 
-    def test_verified_plans_match_plaintext_oracle(
-        self, tparams, owner_factory, workers, shards
-    ):
-        _, outcomes, snap = run_plan_path(tparams, owner_factory, workers, shards)
+    def test_verified_plans_match_plaintext_oracle(self, tparams, owner_factory, shards):
+        _, outcomes, snap = run_plan_path(tparams, owner_factory, shards)
         db = database()
         for outcome in outcomes:
             assert outcome.verified
@@ -198,28 +178,20 @@ class TestPlanEqualsNaive:
 
 
 class TestCrossShapeIdentity:
-    def test_full_snapshot_identical_across_workers_and_shards(
-        self, tparams, owner_factory
-    ):
+    def test_full_snapshot_identical_across_shards(self, tparams, owner_factory):
         """planner.* included: the counters are shape-independent."""
-        baseline = None
-        for workers in (0, 2):
-            for shards in (1, 4):
-                system, outcomes, snap = run_plan_path(
-                    tparams, owner_factory, workers, shards
-                )
-                cell = (
+        cells = []
+        for shards in (1, 4):
+            system, outcomes, snap = run_plan_path(tparams, owner_factory, shards)
+            cells.append(
+                (
                     [leg_fingerprint(o) for out in outcomes for o in out.legs],
                     [sorted(out.record_ids) for out in outcomes],
                     system.balances(),
-                    drop_zero_counters(snap),
+                    snap,
                 )
-                if baseline is None:
-                    baseline = cell
-                else:
-                    assert cell == baseline, (
-                        f"plan path drifted at workers={workers} shards={shards}"
-                    )
+            )
+        assert cells[0] == cells[1], "plan path drifted at shards=4"
 
 
 class TestSettlementModes:
@@ -290,11 +262,10 @@ class TestTamperedLegFairness:
         honest_balances = honest.balances()
 
         fresh_process_state()
-        params = tparams.with_workers(0)
-        owner = owner_factory(params, seed=11)
-        system = SlicerSystem(params, rng=default_rng(11), owner=owner)
+        owner = owner_factory(tparams, seed=11)
+        system = SlicerSystem(tparams, rng=default_rng(11), owner=owner)
         system.cloud = LegTamperCloud(
-            params, owner.keys.trapdoor.public, {tampered_index}
+            tparams, owner.keys.trapdoor.public, {tampered_index}
         )
         system.setup(database())
         outcomes = system.search_plans(EXPRS)

@@ -6,7 +6,7 @@ Three invariances pin the sharded tier down:
 * **responses** — a deployment serving through N shards produces
   byte-identical wire responses, verdicts, record IDs and settlement gas
   to the single-cloud deployment, for every query, before and after an
-  insert, at ``workers`` 0 and 2 alike;
+  insert;
 * **counters** — the deterministic counter snapshot (protocol work:
   collect walks, cache hit/miss, hash-to-prime, settlement) is identical
   at every shard count — N shards do exactly the single cloud's work,
@@ -21,8 +21,6 @@ Kernel memo caches are process-global, so every leg starts from
 inherits the first run's warm memos and the counter comparison measures
 session history, not the tier.
 """
-
-import pytest
 
 from repro.common.rng import default_rng
 from repro.core import wire
@@ -55,12 +53,11 @@ def fresh_process_state():
     REGISTRY.reset()
 
 
-def deploy(tparams, owner_factory, workers, shards, seed=11):
-    params = tparams.with_workers(workers)
+def deploy(tparams, owner_factory, shards, seed=11):
     system = SlicerSystem(
-        params,
+        tparams,
         rng=default_rng(seed),
-        owner=owner_factory(params, seed=seed),
+        owner=owner_factory(tparams, seed=seed),
         shards=shards,
     )
     system.setup(database(VALUES))
@@ -85,15 +82,12 @@ def fingerprint(outcome):
     )
 
 
-@pytest.mark.parametrize("workers", [0, 2])
 class TestShardCountInvariance:
-    def test_outcomes_and_counters_identical_at_any_width(
-        self, tparams, owner_factory, workers
-    ):
+    def test_outcomes_and_counters_identical_at_any_width(self, tparams, owner_factory):
         runs = {}
         for shards in SHARD_COUNTS:
             fresh_process_state()
-            system = deploy(tparams, owner_factory, workers, shards)
+            system = deploy(tparams, owner_factory, shards)
             outcomes = run_scenario(system)
             runs[shards] = (
                 [fingerprint(o) for o in outcomes],
@@ -114,7 +108,7 @@ class TestShardCountInvariance:
 class TestShardTierSnapshots:
     def test_tier_restore_roundtrip(self, tparams, owner_factory):
         fresh_process_state()
-        system = deploy(tparams, owner_factory, 0, 4)
+        system = deploy(tparams, owner_factory, 4)
         frontend = system.cloud
         reference = [
             wire.dump_response(system.search(q).response) for q in QUERIES
@@ -127,7 +121,7 @@ class TestShardTierSnapshots:
 
     def test_shard_crash_recovery_from_own_snapshot(self, tparams, owner_factory):
         fresh_process_state()
-        system = deploy(tparams, owner_factory, 0, 4)
+        system = deploy(tparams, owner_factory, 4)
         frontend = system.cloud
         reference = {
             q: wire.dump_response(system.search(q).response) for q in QUERIES

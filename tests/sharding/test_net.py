@@ -2,6 +2,9 @@
 
 import asyncio
 
+import pytest
+
+from repro.common.encoding import encode_parts
 from repro.common.errors import StateError
 from repro.common.rng import default_rng
 from repro.core import wire
@@ -9,7 +12,7 @@ from repro.core.cloud import CloudServer
 from repro.core.query import Query
 from repro.core.records import make_database
 from repro.core.user import DataUser
-from repro.sharding import HashShardPlan
+from repro.sharding import HashShardPlan, net
 from repro.sharding.net import OP_PING, ShardClient, ShardServer
 from repro.storage import codec
 
@@ -100,3 +103,87 @@ class TestLoopbackScatterGather:
         assert pongs == [0, 1]
         assert raised, "misrouted install must produce an error reply"
         assert pong_after == 0, "server must keep serving after an error"
+
+
+def _raw(payload: bytes) -> bytes:
+    return len(payload).to_bytes(4, "big") + payload
+
+
+def _bad_frame(payload: bytes) -> bytes:
+    """A frame that parses but fails its sha256 content digest."""
+    return encode_parts(b"\x00" * 32, payload)
+
+
+async def _reply(reader) -> list[bytes]:
+    return codec.unpack(await net._read_message(reader), net._KIND_REPLY)
+
+
+class TestHostileBytes:
+    def test_corrupt_frames_get_error_replies_not_crashes(self, tparams, session_keys):
+        """A corrupt frame and a malformed envelope each get an error reply on
+        a connection that keeps serving; an oversized length prefix gets an
+        error reply and a clean close.  Nothing escapes the handler task."""
+        server = ShardServer(0, CloudServer(tparams, session_keys.trapdoor.public))
+        escaped = []
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: escaped.append(context)
+            )
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                replies = []
+                writer.write(_raw(_bad_frame(b"payload")))
+                replies.append(await _reply(reader))
+                # Well-framed bytes that are not a request envelope.
+                writer.write(_raw(net.frame(b"not an envelope")))
+                replies.append(await _reply(reader))
+                # The stream stayed in sync: a real request still works.
+                ping = codec.pack(net._KIND_REQUEST, OP_PING, b"")
+                writer.write(_raw(net.frame(ping)))
+                replies.append(await _reply(reader))
+                # Oversized prefix: refused, then the server hangs up.
+                writer.write((net._MAX_MESSAGE + 1).to_bytes(4, "big"))
+                replies.append(await _reply(reader))
+                trailing = await reader.read()
+                return replies, trailing
+            finally:
+                writer.close()
+                await server.stop()
+
+        replies, trailing = asyncio.run(scenario())
+        assert [status for status, _ in replies] == [
+            net._STATUS_ERROR,
+            net._STATUS_ERROR,
+            net._STATUS_OK,
+            net._STATUS_ERROR,
+        ]
+        assert b"digest" in replies[0][1]
+        assert b"oversized" in replies[3][1]
+        assert trailing == b"", "server must close after an oversized prefix"
+        assert not escaped, f"handler raised: {escaped}"
+
+    def test_client_reconnects_after_corrupt_round(
+        self, tparams, session_keys, monkeypatch
+    ):
+        """One corrupt round surfaces a StateError and drops the broken
+        stream; the next call on the same client reconnects and succeeds."""
+        plan = HashShardPlan(1)
+        server = ShardServer(0, CloudServer(tparams, session_keys.trapdoor.public))
+
+        async def scenario():
+            client = ShardClient(plan, [await server.start()])
+            try:
+                assert codec.decode_int(await client._call(0, OP_PING, b"")) == 0
+                with monkeypatch.context() as patch:
+                    # Every frame written in this round fails its digest.
+                    patch.setattr(net, "frame", _bad_frame)
+                    with pytest.raises(StateError):
+                        await client._call(0, OP_PING, b"")
+                return codec.decode_int(await client._call(0, OP_PING, b""))
+            finally:
+                await client.close()
+                await server.stop()
+
+        assert asyncio.run(scenario()) == 0

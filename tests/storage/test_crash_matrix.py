@@ -1,6 +1,6 @@
 """Crash matrix: kill the cloud at every commit-protocol point, at every shape.
 
-Each cell of {workers 0, 2} x {shards 1, 4} kills the serving tier at one of
+Each cell of shards {1, 4} kills the serving tier at one of
 three points — during a segment append (file written, manifest not), during
 the manifest swap itself (tmp written, rename never ran), and mid-rehydrate
 (replay dies halfway through a reopen) — then recovers from the store and
@@ -37,7 +37,6 @@ BASE_VALUES = [7, 7, 9, 40, 41, 64, 3, 200, 128, 255]
 DELTA_VALUES = [7, 130, 65, 0]
 QUERIES = [Query.parse(7, "="), Query.parse(40, ">"), Query.parse(64, "<")]
 
-MATRIX = [(0, 1), (0, 4), (2, 1), (2, 4)]
 
 
 def database(values, start=0):
@@ -91,10 +90,10 @@ def measured_workload(serving, token_lists):
     return blobs, delta
 
 
-@pytest.fixture(params=MATRIX, ids=lambda wk: f"workers{wk[0]}-shards{wk[1]}")
+@pytest.fixture(params=[1, 4], ids=lambda shards: f"shards{shards}")
 def cell(request, session_keys, owner_factory):
-    workers, shards = request.param
-    params = SlicerParams.testing(value_bits=8, workers=workers)
+    shards = request.param
+    params = SlicerParams.testing(value_bits=8)
     plan = HashShardPlan(shards) if shards > 1 else None
     owner = owner_factory(params, seed=301)
     if plan is not None:
