@@ -280,9 +280,9 @@ class ProductTree:
     Values are never removed — matching the accumulator's append-only prime
     list (Slicer deletes via a second instance, not removal).
 
-    Forest state is stored as plain ``int`` (the tree is pickled into worker
-    processes and kernel cache exports); subtree merges go through the active
-    backend's multiplier so large carries benefit from native bignums.
+    Forest state is stored as plain ``int`` so it reads the same on any
+    backend; subtree merges go through the active backend's multiplier so
+    large carries benefit from native bignums.
     """
 
     __slots__ = ("_forest", "_count", "_root")

@@ -864,7 +864,7 @@ class SlicerSystem:
         plans walk the index once); ``planner.intersect_dropped`` counts
         record IDs that appeared in some leg but fell out of a verified
         plan's intersection.  Both are pure functions of the query stream,
-        so they are identical at any worker count, shard width or
+        so they are identical at any shard width or
         settlement mode.
         """
         perfstats.incr("planner.plans", len(results))
