@@ -86,7 +86,9 @@ class DeploymentCache:
         owner = DataOwner(params, keys=self._keys, rng=default_rng(n * 31 + bits))
         output = owner.build(database)
         cloud = CloudServer(params, self._keys.trapdoor.public)
-        cloud.install(output.cloud_package)
+        # Without the owner's witnesses the cloud runs the paper's own
+        # MemWit, which is what Figs. 5 and 6 measure.
+        cloud.install(output.cloud_package.without_witnesses())
         user = DataUser(params, output.user_package, default_rng(5))
         return Deployment(
             params=params,

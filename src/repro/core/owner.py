@@ -29,7 +29,7 @@ from ..crypto.accumulator import Accumulator
 from ..crypto.multiset_hash import MultisetHash
 from ..crypto.prf import PRF
 from ..obs import metrics, trace
-from ..crypto.symmetric import SymmetricCipher
+from ..crypto.symmetric import NONCE_LEN, SymmetricCipher
 from .keywords import keywords_for_record
 from .params import KeyBundle, SlicerParams, UserKeys
 from .records import AttributedDatabase, AttributedRecord, Database, Record
@@ -99,6 +99,8 @@ class DataOwner:
         self.set_hash_state = SetHashState()
         self.accumulator = Accumulator(params.accumulator)
         self._cipher = SymmetricCipher(self.keys.record_key, self.rng)
+        #: Each accumulated prime's keyword ``G1`` — its shard routing key.
+        self._prime_g1: dict[int, bytes] = {}
         self._built = False
         #: Attribute names seen across every indexed record (shared with
         #: users so they can validate queries before paying to search).
@@ -160,64 +162,95 @@ class DataOwner:
 
         Phase 1 ("index"), per keyword in postings order: sample a fresh
         trapdoor or advance the known one with π_sk^{-1} (the
-        forward-security step), then encrypt each posting's record ID,
-        derive its PRF label and pad, and fold the ciphertext into the
-        keyword's running multiset hash.  Phase 2 ("ads"): ``H_prime`` per
-        keyword state, then the single accumulator fold.
+        forward-security step) and draw one nonce per posting, in the
+        owner RNG order a per-record ``encrypt`` loop would draw them.  All
+        record IDs are then encrypted in one batch, and each posting gets
+        its PRF label and pad and is folded into the keyword's running
+        multiset hash.  Phase 2 ("ads"): ``H_prime`` per keyword state,
+        then the single accumulator fold.  Phase 3 ("witnesses"), when the
+        owner holds the accumulator trapdoor: a fresh witness for every
+        accumulated prime, shipped to the cloud with the package.
         """
         new_index = EncryptedIndex()
-        field = self.params.multiset_field
-        label_len = self.params.label_len
-        #: (G1, entries, state key, running hash) per keyword, postings order.
-        staged: list[tuple[bytes, list[tuple[bytes, bytes]], bytes, MultisetHash]] = []
-
         with self.stopwatch.measure("index"), trace.span("owner.index"):
             postings = self._postings(records)
             metrics.observe("owner.batch.records", len(records))
             metrics.observe("owner.batch.keywords", len(postings))
-            for keyword, record_ids in postings.items():
-                g1, g2 = derive_g1_g2(self.keys.prf_key, keyword)
-                entry = self.trapdoor_state.find(keyword)
-                if entry is None:
-                    # First sighting: fresh trapdoor, epoch 0, empty hash H(φ).
-                    trapdoor = self.keys.trapdoor.sample_trapdoor(self.rng)
-                    epoch = 0
-                    running = MultisetHash.empty(field)
-                else:
-                    # Known keyword: pop its running hash and advance the
-                    # trapdoor via π_sk^{-1} (the forward-security step).
-                    trapdoor, epoch = entry.trapdoor, entry.epoch
-                    running = self.set_hash_state.pop(set_hash_key(trapdoor, epoch, g1, g2))
-                    trapdoor = self.keys.trapdoor.invert(trapdoor)
-                    epoch += 1
-                self.trapdoor_state.put(keyword, trapdoor, epoch)
-                label_prf = PRF(g1, label_len)
-                pad_prf = PRF(g2)
-                entries: list[tuple[bytes, bytes]] = []
-                for counter, record_id in enumerate(record_ids):
-                    record_ct = self._cipher.encrypt(record_id)
-                    label = label_prf.eval(trapdoor, encode_uint(counter))
-                    pad = pad_prf.eval_stream(len(record_ct), trapdoor, encode_uint(counter))
-                    payload = xor_bytes(pad, record_ct)
-                    entries.append((label, payload))
-                    new_index.put(label, payload)
-                    running = running.add(record_ct)
-                staged.append((g1, entries, set_hash_key(trapdoor, epoch, g1, g2), running))
+            staged = self._index_postings(postings, new_index)
 
         with self.stopwatch.measure("ads"), trace.span("owner.ads"):
             h_prime = self.params.hash_to_prime()
             new_primes: list[int] = []
-            for _, _, state_key, running in staged:
+            for (g1, _, state_key, running) in staged:
                 self.set_hash_state.put(state_key, running)
-                new_primes.append(h_prime(encode_parts(state_key, running.to_bytes())))
+                prime = h_prime(encode_parts(state_key, running.to_bytes()))
+                new_primes.append(prime)
+                self._prime_g1.setdefault(prime, g1)
             self.accumulator.add_many(new_primes)
-        package = CloudPackage(new_index, new_primes, self.accumulator.value)
+
+        witnesses = None
+        if self.params.accumulator.has_trapdoor:
+            with self.stopwatch.measure("witnesses"), trace.span("owner.witnesses"):
+                witnesses = self.accumulator.issue_witnesses()
+        package = CloudPackage(new_index, new_primes, self.accumulator.value, witnesses)
         return OwnerOutput(
             cloud_package=package,
             chain_ads=self.accumulator.value,
             user_package=self.user_package(),
             shard_packages=self._split_for_shards(package, staged),
         )
+
+    def _index_postings(
+        self, postings: dict[bytes, list[bytes]], new_index: EncryptedIndex
+    ) -> list[tuple[bytes, list[tuple[bytes, bytes]], bytes, MultisetHash]]:
+        """Phase 1 of :meth:`_index_batch`; returns, per keyword in postings
+        order, ``(G1, entries, state key, running hash)``.
+
+        Its batch-wide nonce and ciphertext lists die when it returns.
+        """
+        field = self.params.multiset_field
+        label_len = self.params.label_len
+        #: (G1, G2, trapdoor, epoch, running hash, record IDs) per keyword.
+        jobs = []
+        nonces: list[bytes] = []
+        for keyword, record_ids in postings.items():
+            g1, g2 = derive_g1_g2(self.keys.prf_key, keyword)
+            entry = self.trapdoor_state.find(keyword)
+            if entry is None:
+                # First sighting: fresh trapdoor, epoch 0, empty hash H(φ).
+                trapdoor = self.keys.trapdoor.sample_trapdoor(self.rng)
+                epoch = 0
+                running = MultisetHash.empty(field)
+            else:
+                # Known keyword: pop its running hash and advance the
+                # trapdoor via π_sk^{-1} (the forward-security step).
+                trapdoor, epoch = entry.trapdoor, entry.epoch
+                running = self.set_hash_state.pop(set_hash_key(trapdoor, epoch, g1, g2))
+                trapdoor = self.keys.trapdoor.invert(trapdoor)
+                epoch += 1
+            self.trapdoor_state.put(keyword, trapdoor, epoch)
+            nonces.extend(self.rng.token_bytes(NONCE_LEN) for _ in record_ids)
+            jobs.append((g1, g2, trapdoor, epoch, running, record_ids))
+        ciphertexts = iter(
+            self._cipher.encrypt_many(
+                [rid for *_, record_ids in jobs for rid in record_ids], nonces
+            )
+        )
+        staged = []
+        for g1, g2, trapdoor, epoch, running, record_ids in jobs:
+            label_prf = PRF(g1, label_len)
+            pad_prf = PRF(g2)
+            entries: list[tuple[bytes, bytes]] = []
+            for counter in range(len(record_ids)):
+                record_ct = next(ciphertexts)
+                label = label_prf.eval(trapdoor, encode_uint(counter))
+                pad = pad_prf.eval_stream(len(record_ct), trapdoor, encode_uint(counter))
+                payload = xor_bytes(pad, record_ct)
+                entries.append((label, payload))
+                new_index.put(label, payload)
+                running = running.add(record_ct)
+            staged.append((g1, entries, set_hash_key(trapdoor, epoch, g1, g2), running))
+        return staged
 
     def _split_for_shards(self, package: CloudPackage, staged):
         """Route each keyword's entries/prime to its home shard.
@@ -232,10 +265,18 @@ class DataOwner:
             return None
         from ..sharding.plan import split_package  # local: sharding builds on core
 
+        plan = self.shard_plan
         routed = [
-            (self.shard_plan.shard_of(g1), entries, prime)
+            (plan.shard_of(g1), entries, prime)
             for (g1, entries, _, _), prime in zip(staged, package.primes)
         ]
+        witnesses = None
+        if package.witnesses is not None:
+            # Witnesses cover all of X, so each goes to the home shard of
+            # the keyword its prime was derived for, new or old.
+            witnesses = [{} for _ in range(plan.shards)]
+            for prime, value in package.witnesses.items():
+                witnesses[plan.shard_of(self._prime_g1[prime])][prime] = value
         return split_package(
-            self.shard_plan, routed, list(package.primes), package.accumulation
+            plan, routed, list(package.primes), package.accumulation, witnesses
         )

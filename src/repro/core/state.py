@@ -133,11 +133,23 @@ class CloudPackage:
     ``index`` carries the (new) entries, ``primes`` the (new) prime
     representatives, ``accumulation`` the fresh ``Ac`` so the cloud can sanity
     check; only ``accumulation`` goes to the blockchain.
+
+    ``witnesses`` holds the owner-issued membership witness of every
+    accumulated prime (all of ``X``, not just the delta) under
+    ``accumulation``, or ``None`` when the owner has no trapdoor.  They are
+    an in-process accelerator only: no snapshot, segment or wire format
+    carries them.
     """
 
     index: EncryptedIndex
     primes: list[int] = field(default_factory=list)
     accumulation: int = 0
+    witnesses: dict[int, int] | None = None
+
+    def without_witnesses(self) -> "CloudPackage":
+        """The same install without owner witnesses (the paper's cloud-side
+        ``MemWit`` path, as after any wire hop)."""
+        return CloudPackage(self.index, self.primes, self.accumulation)
 
     @property
     def prime_bytes(self) -> int:

@@ -161,6 +161,9 @@ class Accumulator:
         self.params = params
         self._primes: dict[int, None] = {}
         self._value = params.generator % params.modulus
+        #: ``prod(X)`` mod ``p−1`` and mod ``q−1`` (trapdoor only): the
+        #: exponents :meth:`issue_witnesses` needs, kept current per update.
+        self._residues: tuple[int, int] | None = (1, 1) if params.has_trapdoor else None
         if primes:
             self.add_many(primes)
 
@@ -181,8 +184,16 @@ class Accumulator:
         return x in self._primes
 
     def _check_prime(self, x: int) -> None:
-        if x < 3 or not is_prime(x):
+        # An H_prime output this process just certified skips the re-test.
+        if x < 3 or not (kernels.certified_prime(x) or is_prime(x)):
             raise AccumulatorError(f"accumulator elements must be odd primes, got {x}")
+
+    def _scale_residues(self, factor: int) -> None:
+        """Multiply the tracked ``prod(X)`` residues by ``factor``."""
+        if self._residues is not None:
+            p1, q1 = self.params.p - 1, self.params.q - 1
+            rp, rq = self._residues
+            self._residues = (rp * factor % p1, rq * factor % q1)
 
     def add(self, x: int) -> int:
         """Absorb prime ``x``; returns the new ``Ac``.  Idempotent per element."""
@@ -190,6 +201,7 @@ class Accumulator:
         if x not in self._primes:
             self._primes[x] = None
             self._value = powmod(self._value, x, self.params.modulus)
+            self._scale_residues(x)
         return self._value
 
     def add_many(self, xs: list[int]) -> int:
@@ -204,6 +216,7 @@ class Accumulator:
             exponent = product(fresh)
             if self.params.has_trapdoor:
                 exponent %= self.params.phi()
+                self._scale_residues(exponent)
             n = self.params.modulus
             if self._value == self.params.generator % n:
                 # Fresh accumulator (Build's one big fold): the base is the
@@ -228,6 +241,7 @@ class Accumulator:
         if self.params.has_trapdoor:
             inv = mod_inverse(x, self.params.phi())
             self._value = powmod(self._value, inv, n)
+            self._scale_residues(inv)
         else:
             self._value = kernels.fixed_base_pow(
                 self.params.generator, n, product(list(self._primes))
@@ -245,6 +259,31 @@ class Accumulator:
         return MembershipWitness(
             kernels.fixed_base_pow(self.params.generator, self.params.modulus, exponent)
         )
+
+    def issue_witnesses(self) -> dict[int, int]:
+        """Owner-side ``MemWit`` for every accumulated prime (trapdoor only).
+
+        ``w_x = g^(prod(X)·x⁻¹ mod φ(n))``: since ``gcd(x, φ(n)) = 1`` it is
+        the unique ``x``-th root of ``Ac``, hence the same value as the
+        cloud's ``g^(prod(X)/x)``.  Each half is one fixed-base comb
+        evaluation mod ``p`` / ``q`` (see
+        :func:`~repro.crypto.kernels.comb_pows`), recombined by CRT.
+        Returns ``{prime: witness value}``.
+        """
+        if self._residues is None:
+            raise AccumulatorError("issuing witnesses requires the setup trapdoor")
+        p, q = self.params.p, self.params.q
+        assert p is not None and q is not None
+        rp, rq = self._residues
+        primes = list(self._primes)
+        g = self.params.generator
+        halves_p = kernels.comb_pows(g % p, p, [rp * pow(x, -1, p - 1) % (p - 1) for x in primes])
+        halves_q = kernels.comb_pows(g % q, q, [rq * pow(x, -1, q - 1) % (q - 1) for x in primes])
+        q_inv = pow(q, -1, p)
+        return {
+            x: wq + q * ((wp - wq) * q_inv % p)
+            for x, wp, wq in zip(primes, halves_p, halves_q)
+        }
 
     def witness_all(self) -> dict[int, MembershipWitness]:
         """Witnesses for every accumulated prime via root-factor recursion."""

@@ -1,6 +1,6 @@
 """Single-core crypto kernels: memoization and precomputation for hot primitives.
 
-This module makes each process cheaper.  Four kernels, each byte-identical
+This module makes each process cheaper.  Five kernels, each byte-identical
 to the code it replaces (property tests assert this), each reporting to
 :mod:`repro.common.perfstats`:
 
@@ -14,6 +14,10 @@ to the code it replaces (property tests assert this), each reporting to
   representatives).  A per-``(n, g)`` table of ``g^(2^(w·j))`` turns each
   exponentiation into ~``bits/w`` multiplications via the bucket method,
   replacing ``pow``'s ~``bits`` squarings + ``bits/2`` multiplications.
+* **Fixed-base comb** — the owner issues one witness per accumulated prime,
+  each a ``g^e mod p`` and ``g^e mod q`` with ``e`` below the half modulus;
+  a byte-digit table ``g^(d·2^(8j))`` makes each one a multiplication per
+  exponent byte, with no squarings.
 * **Trapdoor-chain cache** — the cloud walks ``t_j → t_{j-1} → … → t_0``
   through the public RSA permutation on *every* search; each step is a full
   modexp.  ``π_pk`` is a fixed deterministic function, so single steps are
@@ -65,6 +69,16 @@ HASH_MEMO_MAX = 1 << 16
 
 _HASH_MEMOS: dict[tuple[int, bytes], dict[bytes, tuple[int, int]]] = {}
 
+#: Integers the ``H_prime`` walk itself certified prime in this process
+#: (FIFO-capped like the memos, dropped with them), so the accumulator's
+#: membership check need not re-run BPSW on a prime derived a moment ago.
+_CERTIFIED: dict[int, None] = {}
+
+
+def certified_prime(x: int) -> bool:
+    """Whether ``x`` passed this process's ``H_prime`` primality walk."""
+    return x in _CERTIFIED and kernels_enabled()
+
 
 class MemoizedHashToPrime(HashToPrime):
     """``H_prime`` with a process-local memo keyed on the input bytes.
@@ -96,6 +110,9 @@ class MemoizedHashToPrime(HashToPrime):
         if len(memo) >= HASH_MEMO_MAX:
             del memo[next(iter(memo))]
         memo[data] = result
+        if len(_CERTIFIED) >= HASH_MEMO_MAX:
+            del _CERTIFIED[next(iter(_CERTIFIED))]
+        _CERTIFIED[result[0]] = None
         return result
 
 
@@ -212,6 +229,62 @@ def fixed_base_pow(base: int, modulus: int, exponent: int) -> int:
     if kernel is None:
         kernel = _FIXED_BASES[key] = FixedBaseExp(base, modulus)
     return kernel.pow(exponent)
+
+
+# --------------------------------------------------- fixed-base comb (owner)
+
+_COMBS: dict[tuple[int, int], "FixedBaseComb"] = {}
+
+
+class FixedBaseComb:
+    """Byte-digit comb ``T[j][d] = base^(d·2^(8j)) mod modulus``.
+
+    Built for exponents below ``modulus`` (the owner's witness exponents
+    live mod ``p−1`` / ``q−1``), so ``g^e`` is one table multiplication per
+    nonzero byte of ``e`` and no squarings: 32 multiplications for a
+    256-bit half modulus.  The table holds ``bytes(modulus) × 256`` entries
+    (~0.5 MB per 256-bit half).
+    """
+
+    __slots__ = ("modulus", "_rows")
+
+    def __init__(self, base: int, modulus: int) -> None:
+        self.modulus = modulus
+        rows = []
+        step = base % modulus
+        for _ in range((modulus.bit_length() + 7) // 8):
+            row = [1, step]
+            for _ in range(254):
+                row.append(row[-1] * step % modulus)
+            rows.append(row)
+            step = row[-1] * step % modulus  # step^256
+        self._rows = rows
+
+    def pow(self, exponent: int) -> int:
+        """``base^exponent mod modulus`` for ``0 <= exponent < modulus``."""
+        n = self.modulus
+        result = 1
+        for row, digit in zip(self._rows, exponent.to_bytes(len(self._rows), "little")):
+            if digit:
+                result = result * row[digit] % n
+        return result
+
+
+def comb_pows(base: int, modulus: int, exponents: list[int]) -> list[int]:
+    """``[base^e mod modulus for e in exponents]`` through a cached comb.
+
+    Every exponent must be reduced below ``modulus``.  With the kernel
+    layer disabled each value is one backend ``powmod``.
+    """
+    if not kernels_enabled():
+        return [modmath.powmod(base, e, modulus) for e in exponents]
+    key = (base, modulus)
+    comb = _COMBS.get(key)
+    if comb is None:
+        comb = _COMBS[key] = FixedBaseComb(base, modulus)
+        perfstats.incr("comb.table_builds")
+    perfstats.incr("comb.pow", len(exponents))
+    return [comb.pow(e) for e in exponents]
 
 
 # ------------------------------------------------ wNAF witness exponentiation
@@ -595,7 +668,9 @@ def clear_caches() -> None:
     """Drop every process-local kernel cache (benchmarks' cold-path reset)."""
     global _WNAF_LAST
     _HASH_MEMOS.clear()
+    _CERTIFIED.clear()
     _FIXED_BASES.clear()
+    _COMBS.clear()
     _TRAPDOOR_CHAINS.clear()
     _WNAF_LAST = None
     for cache in list(_INSTANCE_CACHES):
@@ -609,6 +684,7 @@ def cache_sizes() -> dict[str, int]:
         "fixed_base_tables": sum(
             len(t) for kernel in _FIXED_BASES.values() for t in kernel._tables.values()
         ),
+        "comb_tables": sum(len(comb._rows) * 256 for comb in _COMBS.values()),
         "trapdoor_chain": sum(len(c) for c in _TRAPDOOR_CHAINS.values()),
         "wnaf_tables": 0
         if _WNAF_LAST is None

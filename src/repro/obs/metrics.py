@@ -179,7 +179,9 @@ class MetricsRegistry:
             "shard.",
             "cloud.repeat_witness.",
             "cloud.witness_cache.selfcheck",
+            "cloud.owner_witness.",
             "fixed_base.",
+            "comb.",
             "multi_exp.",
             "batch_verify.",
             "mempool.",
@@ -199,7 +201,10 @@ class MetricsRegistry:
         Topology-shaped counters are excluded the same way: ``shard.*``
         (routing/scatter bookkeeping only exists on a sharded tier),
         ``cloud.repeat_witness.*``, the witness-cache self-check,
-        ``fixed_base.*`` and the whole ``multi_exp.*`` /
+        ``cloud.owner_witness.*`` (owner witnesses reach a cloud only on
+        direct in-process installs, never after a wire hop, restore or
+        segment replay), ``fixed_base.*``, the owner's ``comb.*`` tables
+        and the whole ``multi_exp.*`` /
         ``batch_verify.*`` families all count *per-serving-instance* events —
         N shards each derive their own witness bases and self-check their
         own caches, and block-mode settlement runs extra trusted batch

@@ -109,6 +109,7 @@ def split_package(
     routed: list[tuple[int, list[tuple[bytes, bytes]], int]],
     all_primes: list[int],
     accumulation: int,
+    witnesses: list[dict[int, int]] | None = None,
 ) -> list[ShardPackage]:
     """Assemble per-shard packages from routed per-keyword build output.
 
@@ -116,7 +117,9 @@ def split_package(
     job, in job order — the owner computes the shard id while it still knows
     each entry's keyword (``G1`` is not recoverable from a PRF label).  Every
     shard receives the full ``all_primes`` delta; only the index entries and
-    the ``local_primes`` bookkeeping are sharded.
+    the ``local_primes`` bookkeeping are sharded.  ``witnesses`` (owner
+    issued, already grouped by home shard) gives each shard the witnesses
+    of the primes its keywords own.
     """
     from ..core.state import EncryptedIndex  # local: state imports nothing of ours
 
@@ -129,7 +132,12 @@ def split_package(
     return [
         ShardPackage(
             shard_id=sid,
-            package=CloudPackage(slices[sid], list(all_primes), accumulation),
+            package=CloudPackage(
+                slices[sid],
+                list(all_primes),
+                accumulation,
+                None if witnesses is None else witnesses[sid],
+            ),
             local_primes=locals_[sid],
         )
         for sid in range(plan.shards)

@@ -166,6 +166,71 @@ class TestRootFactor:
         assert root_factor(5, [13], self.MOD) == {13: 5}
 
 
+class TestIssueWitnesses:
+    def test_equal_to_root_factor(self, params, primes):
+        acc = Accumulator(params, primes)
+        reference = root_factor(params.generator % params.modulus, primes, params.modulus)
+        assert acc.issue_witnesses() == reference
+
+    def test_track_add_and_remove(self, params, primes):
+        acc = Accumulator(params, primes[:5])
+        acc.add(primes[5])
+        acc.add_many(primes[6:9])
+        acc.remove(primes[2])
+        live = acc.primes
+        reference = root_factor(params.generator % params.modulus, live, params.modulus)
+        assert acc.issue_witnesses() == reference
+
+    def test_same_values_with_kernels_disabled(self, params, primes, monkeypatch):
+        acc = Accumulator(params, primes)
+        expected = acc.issue_witnesses()
+        monkeypatch.setenv("REPRO_KERNELS", "0")
+        assert acc.issue_witnesses() == expected
+
+    def test_requires_trapdoor(self, params, primes):
+        with pytest.raises(AccumulatorError):
+            Accumulator(params.public(), primes).issue_witnesses()
+
+
+class TestCertifiedPrimes:
+    """``_check_prime`` trusts only integers the H_prime walk certified."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        from repro.crypto import accumulator, primes as primes_mod
+
+        seen: list[int] = []
+
+        def spy(n, *args, **kwargs):
+            seen.append(n)
+            return primes_mod.is_prime(n)
+
+        monkeypatch.setattr(accumulator, "is_prime", spy)
+        return seen
+
+    def test_hprime_output_skips_retest(self, params, calls):
+        from repro.crypto import kernels
+
+        kernels.clear_caches()
+        x = kernels.memoized_hash_to_prime(64)(b"certified-skip")
+        Accumulator(params).add_many([x])
+        assert calls == ([x] if not kernels.kernels_enabled() else [])
+
+    def test_other_prime_still_tested(self, params, calls):
+        from repro.crypto.primes import next_prime
+
+        x = next_prime(1 << 63)
+        Accumulator(params).add(x)
+        assert calls == [x]
+
+    def test_composite_still_rejected(self, params):
+        from repro.crypto import kernels
+
+        kernels.memoized_hash_to_prime(64)(b"certified-composite")
+        with pytest.raises(AccumulatorError):
+            Accumulator(params).add_many([(1 << 63) + 1])
+
+
 class TestNonMembership:
     def test_nonmembership_verifies(self, params, primes):
         acc = Accumulator(params, primes[:6])

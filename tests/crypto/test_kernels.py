@@ -10,10 +10,12 @@ from repro.crypto.accumulator import AccumulatorParams
 from repro.crypto.hash_to_prime import HashToPrime
 from repro.crypto.kernels import (
     FIXED_BASE_MIN_EXP_BITS,
+    FixedBaseComb,
     FixedBaseExp,
     MemoizedHashToPrime,
     TrapdoorChainCache,
     batch_verify_membership,
+    comb_pows,
     fixed_base_pow,
     memoized_hash_to_prime,
     multi_exp,
@@ -275,11 +277,31 @@ class TestTrapdoorChainCache:
         assert kernels.trapdoor_chain(other.public) is not kernels.trapdoor_chain(keys.public)
 
 
+class TestFixedBaseComb:
+    def test_matches_builtin_pow(self, acc_params):
+        p = acc_params.p
+        base = acc_params.generator % p
+        comb = FixedBaseComb(base, p)
+        rng = default_rng(12)
+        exponents = [0, 1, 255, 256, p - 2] + [rng.randrange(0, p - 1) for _ in range(20)]
+        assert [comb.pow(e) for e in exponents] == [pow(base, e, p) for e in exponents]
+
+    def test_comb_pows_cached_and_cleared(self, acc_params):
+        p = acc_params.p
+        kernels.clear_caches()
+        assert comb_pows(5, p, [3, 7]) == [pow(5, 3, p), pow(5, 7, p)]
+        rows = (p.bit_length() + 7) // 8 if kernels.kernels_enabled() else 0
+        assert kernels.cache_sizes()["comb_tables"] == 256 * rows
+        kernels.clear_caches()
+        assert kernels.cache_sizes()["comb_tables"] == 0
+
+
 class TestLifecycle:
     def test_clear_caches_empties_everything(self, acc_params):
-        memoized_hash_to_prime(64)(b"fill")
+        certified = memoized_hash_to_prime(64)(b"fill")
         fixed_base_pow(acc_params.generator, acc_params.modulus, 1 << FIXED_BASE_MIN_EXP_BITS)
         assert any(kernels.cache_sizes().values())
+        assert kernels.certified_prime(certified) == kernels.kernels_enabled()
         kernels.clear_caches()
         sizes = kernels.cache_sizes()
         # Registered cache families (e.g. the cloud's entry cache) append
@@ -288,6 +310,7 @@ class TestLifecycle:
         assert sizes["fixed_base_tables"] == 0
         assert sizes["trapdoor_chain"] == 0
         assert all(count == 0 for count in sizes.values())
+        assert not kernels.certified_prime(certified)
 
     @pytest.mark.parametrize("value,expected", [
         ("0", False), ("false", False), ("OFF", False), ("no", False),

@@ -34,6 +34,39 @@ class TestRoundTrip:
         assert b.decrypt(a.encrypt(b"secret!")) != b"secret!"
 
 
+class TestEncryptMany:
+    LENGTHS = [0, 1, 8, 15, 16, 17, 32, 33, 100]
+
+    def _batch(self):
+        rng = default_rng(41)
+        plaintexts = [rng.token_bytes(size) for size in self.LENGTHS]
+        nonces = [rng.token_bytes(NONCE_LEN) for _ in self.LENGTHS]
+        # Counter wrap-around: CTR increments the whole block mod 2^128.
+        nonces[7] = b"\xff" * NONCE_LEN
+        nonces[8] = b"\xff" * (NONCE_LEN - 1) + b"\xfe"
+        return plaintexts, nonces
+
+    def test_byte_identical_to_encrypt(self, cipher):
+        plaintexts, nonces = self._batch()
+        expected = [cipher.encrypt(m, nonce=n) for m, n in zip(plaintexts, nonces)]
+        assert cipher.encrypt_many(plaintexts, nonces) == expected
+        assert [cipher.decrypt(blob) for blob in expected] == plaintexts
+
+    def test_byte_identical_on_hmac_fallback(self, cipher, monkeypatch):
+        from repro.crypto import symmetric
+
+        monkeypatch.setattr(symmetric, "_HAVE_AES", False)
+        plaintexts, nonces = self._batch()
+        expected = [cipher.encrypt(m, nonce=n) for m, n in zip(plaintexts, nonces)]
+        assert cipher.encrypt_many(plaintexts, nonces) == expected
+
+    def test_rejects_mismatched_or_bad_nonces(self, cipher):
+        with pytest.raises(ParameterError):
+            cipher.encrypt_many([b"a", b"b"], [b"\x00" * NONCE_LEN])
+        with pytest.raises(ParameterError):
+            cipher.encrypt_many([b"a"], [b"\x00"])
+
+
 class TestErrors:
     def test_bad_key_length(self):
         with pytest.raises(KeyError_):

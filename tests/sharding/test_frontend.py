@@ -1,5 +1,7 @@
 """Scatter/gather frontend unit tests against a single-cloud reference."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.errors import ParameterError
@@ -69,8 +71,23 @@ class TestMergeIdentity:
 
 
 class TestWitnessPrecompute:
-    def test_per_shard_precompute_partitions_the_work(self, deployment):
-        _, frontend, reference, _ = deployment
+    def test_per_shard_precompute_partitions_the_work(
+        self, tparams, owner_factory, session_keys
+    ):
+        # Installs without owner witnesses: the cloud-side MemWit path.
+        plan = HashShardPlan(4)
+        owner = owner_factory(tparams)
+        owner.shard_plan = plan
+        out = owner.build(database(VALUES))
+        frontend = ShardedCloudFrontend(tparams, session_keys.trapdoor.public, plan)
+        frontend.install_shards(
+            [
+                dataclasses.replace(pkg, package=pkg.package.without_witnesses())
+                for pkg in out.shard_packages
+            ]
+        )
+        reference = CloudServer(tparams, session_keys.trapdoor.public)
+        reference.install(out.cloud_package.without_witnesses())
         assert frontend.precompute_witnesses() == reference.precompute_witnesses()
         assert frontend.precompute_witnesses() == frontend.prime_count
         # Per-shard caches hold only local primes, together covering all.
@@ -78,6 +95,16 @@ class TestWitnessPrecompute:
             len(server._witness_cache or {}) for server in frontend.shard_servers
         ]
         assert sum(sizes) == frontend.prime_count
+
+    def test_owner_witnesses_leave_nothing_to_precompute(self, deployment):
+        _, frontend, reference, user = deployment
+        assert frontend.precompute_witnesses() == frontend.prime_count
+        assert all(server._witness_cache == {} for server in frontend.shard_servers)
+        for query in QUERIES:
+            tokens = user.make_tokens(query)
+            assert wire.dump_response(frontend.search(tokens)) == wire.dump_response(
+                reference.search(tokens)
+            )
 
 
 class TestDegradedShards:
