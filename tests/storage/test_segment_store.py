@@ -229,7 +229,8 @@ class TestCloudReopen:
         cloud.precompute_witnesses()
         warm_response = cloud.search(tokens)
         cloud.checkpoint()
-        witness_cache = dict(cloud._witness_cache)
+        # Every prime's ready witness: here all owner-issued, none computed.
+        witness_cache = {p: cloud._lookup_witness(p) for p in cloud._primes}
         node_keys = list(cloud._entry_cache.nodes)
 
         resumed = self.make_cloud(tparams, owner)
@@ -242,6 +243,27 @@ class TestCloudReopen:
         assert delta.get("cloud.collect.prf_evals", 0) == 0
         assert resumed._witness_cache == witness_cache
         assert list(resumed._entry_cache.nodes) == node_keys
+
+    def test_warm_reopen_keeps_owner_witness_coverage(self, world, tparams, tmp_path):
+        """Owner witnesses covering the precompute scope are checkpointed, so
+        the first (never before served) query after reopen needs no MemWit."""
+        owner, out, _ = world
+        cloud = self.make_cloud(tparams, owner, tmp_path / "store")
+        cloud.install(out.cloud_package)
+        cloud.precompute_witnesses()
+        assert cloud._witness_cache == {}  # the owner covered every prime
+        cloud.checkpoint()
+        user = DataUser(tparams, out.user_package, default_rng(9))
+        tokens = user.make_tokens(Query.parse(100, ">"))
+        expected = cloud.search(tokens)
+
+        resumed = self.make_cloud(tparams, owner)
+        resumed.reopen(tmp_path / "store")
+        base = perfstats.snapshot()
+        response = resumed.search(tokens)
+        assert perfstats.delta_since(base).get("cloud.repeat_witness.miss", 0) == 0
+        assert response == expected
+        assert resumed._witness_cache == out.cloud_package.witnesses
 
     def test_stale_checkpoint_degrades_to_cold(self, world, tparams, tmp_path):
         """A checkpoint taken before a later install fails its stamps: the
