@@ -27,8 +27,9 @@ from repro.common.rng import default_rng
 from repro.core.cloud import CloudServer
 from repro.core.owner import DataOwner
 from repro.core.params import KeyBundle, SlicerParams
+from repro.core.query import Range
 from repro.core.records import Database
-from repro.core.user import DataUser, RangeQuery
+from repro.core.user import DataUser
 from repro.core.verify import verify_response
 
 BITS = 8
@@ -92,13 +93,14 @@ def test_ablation_slicer(benchmark):
         sides = []
         total_tokens = 0
         vo_bytes = 0
-        for _, tokens in user.range_tokens(RangeQuery(LO, HI)):
+        for query in Range(LO, HI).to_queries(BITS):
+            tokens = user.make_tokens(query)
             total_tokens += len(tokens)
             response = cloud.search(tokens)
             vo_bytes += response.witness_bytes
             assert verify_response(params, cloud.ads_value, response).ok
             sides.append(user.decrypt_results(response))
-        return DataUser.intersect_range_results(sides), total_tokens, vo_bytes
+        return set.intersection(*sides), total_tokens, vo_bytes
 
     ids, tokens, vo_bytes = benchmark.pedantic(run, rounds=1, iterations=1)
     assert ids == EXPECTED

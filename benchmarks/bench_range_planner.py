@@ -6,7 +6,7 @@ domain) a Zipf-hot stream of range plans is compiled and served three
 ways, over the SAME token lists (generated once per cell):
 
 * **planner** — every leg of the whole stream in ONE
-  :meth:`CloudServer.search_plan` batch: identical tokens across legs and
+  :meth:`CloudServer.search_many` batch: identical tokens across legs and
   plans walk the trapdoor chain once (`collection passes` = the batch-wide
   unique token count);
 * **naive per-leg** — a planner-less client looping
@@ -100,7 +100,7 @@ def run_cell(params, keys, database, selectivity: float, fan_in: int = 1) -> dic
 
     # ---- byte-identity before timing -----------------------------------
     naive_responses = [cloud.search(tokens) for tokens in token_lists]
-    planner_responses = cloud.search_plan(token_lists)
+    planner_responses = cloud.search_many(token_lists)
     for leg_index, (naive, planned) in enumerate(
         zip(naive_responses, planner_responses)
     ):
@@ -127,7 +127,7 @@ def run_cell(params, keys, database, selectivity: float, fan_in: int = 1) -> dic
     naive_s, _ = time_call(
         lambda: [cloud.search(tokens) for tokens in token_lists]
     )
-    planner_s, _ = time_call(lambda: cloud.search_plan(token_lists))
+    planner_s, _ = time_call(lambda: cloud.search_many(token_lists))
 
     # Comparison columns: what other clients would issue for the same
     # post-merge intervals.

@@ -4,12 +4,12 @@
 A warehouse outsources stock levels; items get restocked (update), sold out
 (delete) and added (insert).  Deletion uses the dual-instance construction:
 one Slicer instance accumulates insertions, a second one deletions, and the
-answer is the verified set difference.
+answer is the set difference of two paid, on-chain-verified searches.
 
 Run:  python examples/dynamic_inventory.py
 """
 
-from repro import DualInstanceSlicer, Query, SlicerParams, make_database
+from repro import DualSlicerSystem, Query, SlicerParams, make_database
 from repro.common.rng import default_rng
 from repro.core.records import encode_record_id
 
@@ -30,13 +30,13 @@ def names(ids: set[bytes]) -> list[str]:
 
 def show(label: str, result) -> None:
     marker = "verified" if result.verified else "VERIFICATION FAILED"
-    print(f"{label:28s} -> {names(result.ids)}  [{marker}]")
+    print(f"{label:28s} -> {names(result.record_ids)}  [{marker}]")
 
 
 def main() -> None:
     params = SlicerParams.testing(value_bits=8, record_id_len=ID_LEN)
-    inventory = DualInstanceSlicer(params, default_rng(7), trapdoor_bits=512)
-    inventory.build(make_database(STOCK, bits=8, id_len=ID_LEN))
+    inventory = DualSlicerSystem(params, default_rng(7))
+    inventory.setup(make_database(STOCK, bits=8, id_len=ID_LEN))
     print(f"outsourced {len(STOCK)} items (value = units in stock)\n")
 
     low_stock = Query.parse(50, ">")  # items with stock below 50
@@ -56,8 +56,8 @@ def main() -> None:
 
     # Both instances stay independently verifiable:
     final = inventory.search(low_stock)
-    assert final.insert_report.ok and final.delete_report.ok
-    assert final.ids == inventory.expected_ids(low_stock)
+    assert final.insert_outcome.verified and final.delete_outcome.verified
+    assert final.record_ids == inventory.expected_ids(low_stock)
     print("\ninsert-instance and delete-instance both verified;")
     print("results equal the plaintext ground truth throughout.")
 

@@ -11,7 +11,7 @@ with full on-chain verification.
 Run:  python examples/medical_records.py
 """
 
-from repro import AttributedDatabase, Query, RangeQuery, SlicerParams, SlicerSystem
+from repro import AttributedDatabase, Query, Range, SlicerParams, SlicerSystem
 
 PATIENTS = [
     ("patient-01", {"age": 34, "systolic": 121}),
@@ -47,7 +47,7 @@ def main() -> None:
     print(f"age > 64        -> {names(seniors.record_ids)}")
 
     # --- Two-sided range on the other attribute --------------------------
-    hypertension = system.range_search(RangeQuery(140, 200, attribute="systolic"))
+    hypertension = system.search_plan(Range(140, 200, attribute="systolic"))
     assert hypertension.verified
     print(f"systolic 140-200 -> {names(hypertension.record_ids)}")
 

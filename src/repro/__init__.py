@@ -25,13 +25,11 @@ from .core import (
     DataOwner,
     DataUser,
     CloudServer,
-    DualInstanceSlicer,
     MaliciousCloud,
     MatchCondition,
     Misbehavior,
     Query,
     Range,
-    RangeQuery,
     SlicerParams,
     make_database,
 )
@@ -40,7 +38,7 @@ from .dual_system import DualSearchOutcome, DualSlicerSystem
 from .planner import QueryPlan, compile_plan, compile_plans
 from .sharding import HashShardPlan, ShardPlan, ShardedCloudFrontend
 from .sore import OrderCondition, SoreScheme
-from .system import PlanOutcome, RangeOutcome, SearchOutcome, SlicerSystem
+from .system import PlanOutcome, SearchOutcome, SlicerSystem
 
 __version__ = "1.0.0"
 
@@ -52,7 +50,6 @@ __all__ = [
     "Database",
     "DataOwner",
     "DataUser",
-    "DualInstanceSlicer",
     "DualSearchOutcome",
     "DualSlicerSystem",
     "HashShardPlan",
@@ -67,8 +64,6 @@ __all__ = [
     "Query",
     "QueryPlan",
     "Range",
-    "RangeOutcome",
-    "RangeQuery",
     "SearchOutcome",
     "SlicerParams",
     "SlicerSystem",

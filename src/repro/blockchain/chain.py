@@ -11,6 +11,7 @@ tamper-evidence — the property the paper leans on for trusted storage of
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Type, TypeVar
 
@@ -90,7 +91,9 @@ class Blockchain:
         address = contract_address(sender, account.nonce)
         contract = contract_cls()
         contract.address = address
-        contract.chain = self
+        # Weak back-pointer: the chain owns its contracts, so a dropped
+        # deployment is freed by refcount instead of waiting for the cycle GC.
+        contract.chain = weakref.proxy(self)
         for key, value_ in (config or {}).items():
             setattr(contract, key, value_)
 

@@ -51,7 +51,7 @@ class Contract:
 
     def __init__(self) -> None:
         self.address: bytes = b""
-        self.chain = None  # set by Blockchain.deploy
+        self.chain = None  # weak proxy set by Blockchain.deploy
         self._storage: dict[bytes, bytes] = {}
         self._meter: GasMeter | None = None
         self._warm_slots: set[bytes] = set()

@@ -8,7 +8,6 @@ from .cloud import (
     SearchResponse,
     TokenResult,
 )
-from .deletion import DualInstanceSlicer, DualSearchResult
 from .keywords import (
     equality_keyword,
     keywords_for_record,
@@ -28,7 +27,7 @@ from .records import (
 )
 from .state import CloudPackage, EncryptedIndex, SetHashState, TrapdoorState, set_hash_key
 from .tokens import SearchToken, derive_g1_g2, generate_search_tokens, tokens_size_bytes
-from .user import DataUser, RangeQuery
+from .user import DataUser
 from .verify import VerificationReport, verify_response, verify_token_result
 from .wire import dump_response, dump_tokens, load_response, load_tokens
 
@@ -47,8 +46,6 @@ __all__ = [
     "Database",
     "DataOwner",
     "DataUser",
-    "DualInstanceSlicer",
-    "DualSearchResult",
     "EncryptedIndex",
     "KeyBundle",
     "MaliciousCloud",
@@ -57,7 +54,6 @@ __all__ = [
     "OwnerOutput",
     "Query",
     "Range",
-    "RangeQuery",
     "Record",
     "SearchResponse",
     "SearchToken",

@@ -570,23 +570,6 @@ class CloudServer:
             responses.append(response)
         return responses
 
-    def search_plan(
-        self, token_lists: list[list[SearchToken]], *, _observe: bool = True
-    ) -> list[SearchResponse]:
-        """Serve a compiled plan's legs: one batched collection, per-leg VOs.
-
-        The planner's server-side entry point — an alias of
-        :meth:`search_many`, named for what a plan needs from the cloud:
-        every leg's tokens collected over ONE batch-wide union (shared
-        trapdoor-chain walks and PRF labels across legs are paid once)
-        while the responses stay per leg, because each leg settles as its
-        own escrow against the accumulator.  Record-ID intersection cannot
-        happen here: index payloads are nonce-blinded per (keyword,
-        record) posting, so the same record's ciphertexts are unlinkable
-        across legs — only the key-holding user can intersect.
-        """
-        return self.search_many(token_lists, _observe=_observe)
-
     def _observe_search(
         self,
         tokens: list[SearchToken],

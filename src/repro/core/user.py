@@ -1,4 +1,4 @@
-"""The data user: token generation, result decryption, range composition.
+"""The data user: token generation and result decryption.
 
 Users are quasi-honest (Section IV.B): they hold the shared secret keys and
 generate correct tokens, but may *deny* correct results to dodge search fees
@@ -9,38 +9,15 @@ This class still exposes :meth:`verify_locally` so the fairness comparison
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..common.errors import StateError
 from ..common.rng import DeterministicRNG, default_rng
 from ..crypto.symmetric import SymmetricCipher
 from .cloud import SearchResponse
 from .owner import UserPackage
 from .params import SlicerParams
-from .query import Query, Range
+from .query import Query
 from .tokens import SearchToken, generate_search_tokens
 from .verify import VerificationReport, verify_response
-
-
-@dataclass(frozen=True)
-class RangeQuery:
-    """A closed two-sided range ``lo <= a <= hi`` over one attribute.
-
-    The paper's protocol natively answers single-sided order queries; a
-    two-sided range is the intersection of one ``">"`` and one ``"<"`` query
-    (each independently verifiable).  Bounds at the domain edge drop the
-    redundant side.
-    """
-
-    lo: int
-    hi: int
-    attribute: str = ""
-
-    def to_queries(self, bits: int) -> list[Query]:
-        # The decomposition now lives on the plan-DSL atom (the planner
-        # compiles the same legs); this wrapper predates the DSL and stays
-        # for its callers.
-        return Range(self.lo, self.hi, self.attribute).to_queries(bits)
 
 
 class DataUser:
@@ -102,19 +79,3 @@ class DataUser:
     def verify_locally(self, response: SearchResponse) -> VerificationReport:
         """The legacy local-verification mode (no fairness guarantee)."""
         return verify_response(self.params, self._ads_value, response)
-
-    # ---------------------------------------------------------------- range
-
-    def range_tokens(self, range_query: RangeQuery) -> list[tuple[Query, list[SearchToken]]]:
-        """Token lists for both sides of a two-sided range."""
-        return [(q, self.make_tokens(q)) for q in range_query.to_queries(self.params.value_bits)]
-
-    @staticmethod
-    def intersect_range_results(side_results: list[set[bytes]]) -> set[bytes]:
-        """Combine per-side decrypted ID sets into the range answer."""
-        if not side_results:
-            return set()
-        out = set(side_results[0])
-        for side in side_results[1:]:
-            out &= side
-        return out

@@ -1,13 +1,18 @@
-"""On-chain dual-instance deployment: deletion/update with paid, publicly
-verified searches on BOTH instances.
+"""Deletion and update via the dual-instance construction (Section V.F).
 
-:class:`~repro.core.deletion.DualInstanceSlicer` runs the Section V.F
-construction off chain (local verification).  This module lifts it onto the
-blockchain: two full :class:`~repro.system.SlicerSystem` deployments share
-one chain — one contract escrows/verifies the insert-instance search, the
-other the delete-instance search — and the final answer is the verified set
-difference.  A cheating cloud on *either* instance forfeits that instance's
-payment.
+The base scheme is append-only, so Slicer follows Sophos: run **two**
+protocol instances — one accumulating insertions, one accumulating
+deletions — and define the final result as the set difference
+
+    result = search(insert-instance) \\ search(delete-instance).
+
+:class:`DualSlicerSystem` runs both as full :class:`~repro.system.
+SlicerSystem` deployments on one shared chain: one contract escrows and
+verifies the insert-instance search, the other the delete-instance search,
+and the answer is the verified set difference.  A cheating cloud on
+*either* instance forfeits that instance's payment.  An update of a record
+is one deletion (of the old value) plus one insertion under a new version
+ID; record IDs are single-use, matching the paper's uniqueness requirement.
 """
 
 from __future__ import annotations

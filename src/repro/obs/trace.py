@@ -12,9 +12,10 @@ it deliberately small:
   chaos-transport fault injection (with its
   :class:`~repro.chaos.faults.FaultPlan` history index), every retry
   attempt and backoff, every idempotent dedup;
-* finished spans are appended to an in-memory buffer and — when a sink is
-  set via :meth:`Tracer.set_sink` or ``REPRO_TRACE_FILE`` — emitted as one
-  JSON line each, append-only, so a crashed run still leaves its trail.
+* finished spans are appended to an in-memory buffer that keeps the newest
+  :data:`MAX_BUFFERED_SPANS` and — when a sink is set via
+  :meth:`Tracer.set_sink` or ``REPRO_TRACE_FILE`` — emitted as one JSON line
+  each, append-only, so a crashed run still leaves its whole trail.
 
 Span ids are sequence numbers, not random: traces are replayable artifacts
 and two runs of the same seed produce the same tree.  Durations are also
@@ -31,6 +32,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -39,6 +41,11 @@ from . import metrics
 
 #: Environment sink: path to append JSONL span records to.
 TRACE_FILE_ENV = "REPRO_TRACE_FILE"
+
+#: How many finished spans the in-memory buffer keeps (newest win).  A long
+#: run finishes six spans per search; the sink, not the buffer, is the
+#: complete record.
+MAX_BUFFERED_SPANS = 4096
 
 
 @dataclass
@@ -86,7 +93,7 @@ class Tracer:
     def __init__(self, clock=None) -> None:
         self.clock = clock or time.perf_counter
         self._stack: list[Span] = []
-        self._finished: list[dict] = []
+        self._finished: deque[dict] = deque(maxlen=MAX_BUFFERED_SPANS)
         self._sink_path: str | None = None
         self._next_id = 1
 
@@ -165,7 +172,7 @@ class Tracer:
         self._sink_path = path
 
     def export(self) -> list[dict]:
-        """Finished spans, oldest first (children before their parents)."""
+        """Buffered finished spans, oldest first (children before their parents)."""
         return list(self._finished)
 
     def reset(self) -> None:

@@ -48,7 +48,7 @@ from ..core.params import SlicerParams
 from ..core.tokens import SearchToken
 from ..crypto.trapdoor import TrapdoorPublicKey
 from ..storage import codec, state_io
-from .plan import ShardPackage, ShardPlan
+from .plan import ShardPackage, ShardPlan, merge_responses, route_tokens
 
 _KIND_TIER = b"shard-tier"
 
@@ -250,24 +250,18 @@ class ShardedCloudFrontend:
 
     def search(self, tokens: list[SearchToken]) -> SearchResponse:
         """Scatter, serve per shard, merge back into token order."""
-        groups: dict[int, list[int]] = {}
-        for i, token in enumerate(tokens):
-            groups.setdefault(self.plan.shard_of(token.g1), []).append(i)
+        route, slices = route_tokens(self.plan, tokens)
         perfstats.incr("shard.scatter")
-        results: list[TokenResult | None] = [None] * len(tokens)
-        for sid in sorted(groups):
-            indices = groups[sid]
-            shard_tokens = [tokens[i] for i in indices]
-            perfstats.incr(f"shard.route.tokens.s{sid}", len(indices))
-            with trace.span("shard.search", shard=sid, tokens=len(indices)):
-                partial = self._shard_search(sid, shard_tokens)
+        partials: dict[int, SearchResponse] = {}
+        for sid, shard_tokens in slices.items():
+            perfstats.incr(f"shard.route.tokens.s{sid}", len(shard_tokens))
+            with trace.span("shard.search", shard=sid, tokens=len(shard_tokens)):
+                partials[sid] = self._shard_search(sid, shard_tokens)
             perfstats.incr(
                 f"shard.route.entries.s{sid}",
-                sum(len(r.entries) for r in partial.results),
+                sum(len(r.entries) for r in partials[sid].results),
             )
-            for i, result in zip(indices, partial.results):
-                results[i] = result
-        response = SearchResponse([r for r in results if r is not None])
+        response = merge_responses(route, partials)
         self._observe_search(tokens, response)
         return response
 
@@ -279,38 +273,19 @@ class ShardedCloudFrontend:
         summed ``batch.*`` counters equal the single-cloud run and per-query
         responses stay byte-identical to sequential :meth:`search` calls.
         """
-        routed = [
-            [self.plan.shard_of(token.g1) for token in tokens] for tokens in token_lists
-        ]
-        shard_ids = sorted({sid for row in routed for sid in row})
+        scattered = [route_tokens(self.plan, tokens) for tokens in token_lists]
+        shard_ids = sorted({sid for _, slices in scattered for sid in slices})
         partials: dict[int, list[SearchResponse]] = {}
         for sid in shard_ids:
-            shard_lists = [
-                [t for t, s in zip(tokens, row) if s == sid]
-                for tokens, row in zip(token_lists, routed)
-            ]
-            with trace.span(
-                "shard.search", shard=sid, batch=len(shard_lists)
-            ):
+            shard_lists = [slices.get(sid, []) for _, slices in scattered]
+            with trace.span("shard.search", shard=sid, batch=len(shard_lists)):
                 partials[sid] = self._shard_search_many(sid, shard_lists)
         responses: list[SearchResponse] = []
-        for qi, (tokens, row) in enumerate(zip(token_lists, routed)):
-            cursors = {sid: iter(partials[sid][qi].results) for sid in set(row)}
-            response = SearchResponse([next(cursors[sid]) for sid in row])
+        for qi, (tokens, (route, slices)) in enumerate(zip(token_lists, scattered)):
+            response = merge_responses(route, {sid: partials[sid][qi] for sid in slices})
             self._observe_search(tokens, response)
             responses.append(response)
         return responses
-
-    def search_plan(self, token_lists: list[list[SearchToken]]) -> list[SearchResponse]:
-        """Serve a compiled plan's legs across the tier in one batch.
-
-        The planner hands the *union* of all legs' token lists straight to
-        the batched scatter: each shard sees its slice of the whole plan at
-        once, so cross-leg token dedup happens inside every shard exactly
-        as on a single cloud, and the gather/merge reassembles per-leg
-        responses byte-identical to serving each leg alone.
-        """
-        return self.search_many(token_lists)
 
     def shards_for_tokens(self, tokens: list[SearchToken]) -> list[int]:
         """The sorted shard ids a token list touches (audit/metrics labels)."""

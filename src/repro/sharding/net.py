@@ -34,7 +34,13 @@ from ..core import wire
 from ..core.cloud import CloudServer, SearchResponse
 from ..core.tokens import SearchToken
 from ..storage import codec
-from .plan import ShardPlan, dump_shard_package, load_shard_package
+from .plan import (
+    ShardPlan,
+    dump_shard_package,
+    load_shard_package,
+    merge_responses,
+    route_tokens,
+)
 
 _KIND_REQUEST = b"shard-rpc-request"
 _KIND_REPLY = b"shard-rpc-reply"
@@ -189,28 +195,22 @@ class ShardClient:
     async def search(self, tokens: list[SearchToken]) -> SearchResponse:
         """The async scatter/gather: route, fan out, merge in token order.
 
-        Same routing and merge rules as the in-process frontend, so the
-        merged bytes equal the single-cloud response — the example asserts
-        this against a local reference server.
+        The same :func:`~repro.sharding.plan.route_tokens` /
+        :func:`~repro.sharding.plan.merge_responses` pair as the in-process
+        frontend, so the merged bytes equal the single-cloud response — the
+        example asserts this against a local reference server.  A shard
+        reply of the wrong length is refused with :class:`StateError`.
         """
-        groups: dict[int, list[int]] = {}
-        for i, token in enumerate(tokens):
-            groups.setdefault(self.plan.shard_of(token.g1), []).append(i)
-        order = sorted(groups)
+        route, slices = route_tokens(self.plan, tokens)
         payloads = await asyncio.gather(
             *(
-                self._call(
-                    sid, OP_SEARCH, wire.dump_tokens([tokens[i] for i in groups[sid]])
-                )
-                for sid in order
+                self._call(sid, OP_SEARCH, wire.dump_tokens(shard_tokens))
+                for sid, shard_tokens in slices.items()
             )
         )
-        results = [None] * len(tokens)
-        for sid, payload in zip(order, payloads):
-            partial = wire.load_response(payload)
-            for i, result in zip(groups[sid], partial.results):
-                results[i] = result
-        return SearchResponse([r for r in results if r is not None])
+        return merge_responses(
+            route, {sid: wire.load_response(p) for sid, p in zip(slices, payloads)}
+        )
 
     async def _drop(self, shard_id: int) -> None:
         stream, self._streams[shard_id] = self._streams[shard_id], None

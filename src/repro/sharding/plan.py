@@ -28,7 +28,9 @@ import hashlib
 from dataclasses import dataclass
 
 from ..common.errors import ParameterError, StateError
+from ..core.cloud import SearchResponse
 from ..core.state import CloudPackage
+from ..core.tokens import SearchToken
 from ..storage import codec, state_io
 
 #: Domain separator for the routing hash — shard ids must not correlate
@@ -62,6 +64,39 @@ class HashShardPlan(ShardPlan):
     def shard_of(self, g1: bytes) -> int:
         digest = hashlib.sha256(_ROUTE_DOMAIN + g1).digest()
         return int.from_bytes(digest[:8], "big") % self.shards
+
+
+def route_tokens(
+    plan: ShardPlan, tokens: list[SearchToken]
+) -> tuple[list[int], dict[int, list[SearchToken]]]:
+    """Route every token to its home shard by ``G1``.
+
+    Returns the per-token route and the per-shard token slices, in ascending
+    shard id and original token order — the request each shard serves.
+    """
+    route = [plan.shard_of(token.g1) for token in tokens]
+    slices: dict[int, list[SearchToken]] = {}
+    for sid, token in zip(route, tokens):
+        slices.setdefault(sid, []).append(token)
+    return route, dict(sorted(slices.items()))
+
+
+def merge_responses(
+    route: list[int], partials: dict[int, SearchResponse]
+) -> SearchResponse:
+    """Merge per-shard partial responses back into the original token order.
+
+    A pure permutation: a token's result comes from the one shard its route
+    names.  A partial whose length does not match its slice is refused.
+    """
+    for sid, partial in partials.items():
+        if len(partial.results) != route.count(sid):
+            raise StateError(
+                f"shard {sid} answered {len(partial.results)} results "
+                f"for {route.count(sid)} tokens"
+            )
+    cursors = {sid: iter(partial.results) for sid, partial in partials.items()}
+    return SearchResponse([next(cursors[sid]) for sid in route])
 
 
 @dataclass

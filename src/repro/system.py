@@ -13,23 +13,27 @@ the contract verifies and settles (payment to the cloud on success, refund
 on failure).  Inject a :class:`~repro.core.cloud.MaliciousCloud` to watch
 the refund path fire — that is the fairness property.
 
-Two delivery modes coexist:
+Every paid search — :meth:`SlicerSystem.search`, :meth:`~SlicerSystem.
+batch_search` and the planner's :meth:`~SlicerSystem.search_plans` — runs
+one staged pipeline: tokens → submit → serve → settle → decrypt → record.
+Two things vary inside it.
 
-* **direct** (default, ``transport=None``) — the in-process calls this file
-  always had, byte-identical to before the chaos layer existed;
+**Delivery** is chosen from ``transport``:
+
+* **direct** (default, ``transport=None``) — in-process calls;
 * **chaos** — pass a :class:`~repro.chaos.ChaosTransport` (or export
-  ``REPRO_CHAOS=1``) and every party boundary serializes through
-  :mod:`repro.core.wire`, crosses the fault-injecting transport, and is
-  wrapped in a :class:`~repro.chaos.RetryPolicy` with idempotent
+  ``REPRO_CHAOS=1``) and a single search's party boundaries serialize
+  through :mod:`repro.core.wire`, cross the fault-injecting transport, and
+  are wrapped in a :class:`~repro.chaos.RetryPolicy` with idempotent
   re-submission.  When the retry budget runs out the search degrades to a
-  :class:`SearchOutcome` error state instead of raising.
+  :class:`SearchOutcome` error state instead of raising.  Batches settle
+  by direct chain calls either way.
 
-Orthogonally to delivery, ``settlement_mode`` picks how settlements reach
-the chain:
+**Settlement** is chosen from ``settlement_mode`` and the entry point:
 
-* ``"sync"`` (default) — every contract call executes immediately and each
-  search mines its own block, byte-identical to before block production
-  existed;
+* ``"sync"`` (default) — every contract call executes immediately; a
+  single search settles with ``verify_and_settle`` and a batch with one
+  ``batch_verify_and_settle``, each mining one block;
 * ``"block"`` — settlement transactions stage in a
   :class:`~repro.blockchain.mempool.Mempool` and a
   :class:`~repro.blockchain.block_builder.BlockBuilder` packs them into
@@ -40,6 +44,9 @@ the chain:
   settles — and each outcome records the block height it settled at, which
   a light client can check against the header's settlement root without
   replaying the chain.
+
+One writer turns every settled (or degraded) escrow into its audit record
+and metric observations.
 """
 
 from __future__ import annotations
@@ -82,7 +89,7 @@ from .core.params import SlicerParams
 from .core.query import Query
 from .core.records import AttributedDatabase, Database
 from .core.state import CloudPackage
-from .core.user import DataUser, RangeQuery
+from .core.user import DataUser
 from .core.tokens import SearchToken
 from .planner import PlanExpr, QueryPlan, compile_plans
 from .sharding import (
@@ -152,11 +159,11 @@ class SearchOutcome:
     query: Query
     query_id: int
     tokens: list[SearchToken]
-    response: SearchResponse | None
-    verified: bool
-    record_ids: set[bytes]
-    submit_receipt: Receipt | None
-    settle_receipt: Receipt | None
+    response: SearchResponse | None = None
+    verified: bool = False
+    record_ids: set[bytes] = field(default_factory=set)
+    submit_receipt: Receipt | None = None
+    settle_receipt: Receipt | None = None
     #: Degradation reason when delivery gave up; None on a settled search.
     error: str | None = None
     #: Delivery attempts consumed across the submit and settle phases.
@@ -177,26 +184,6 @@ class SearchOutcome:
     def settle_gas(self) -> int:
         assert self.settle_receipt is not None, "search never settled"
         return self.settle_receipt.gas_used
-
-
-@dataclass
-class RangeOutcome:
-    """A two-sided range search: one verified outcome per side."""
-
-    sides: list[SearchOutcome] = field(default_factory=list)
-
-    @property
-    def verified(self) -> bool:
-        return all(s.verified for s in self.sides)
-
-    @property
-    def record_ids(self) -> set[bytes]:
-        if not self.sides:
-            return set()
-        out = set(self.sides[0].record_ids)
-        for side in self.sides[1:]:
-            out &= side.record_ids
-        return out
 
 
 @dataclass
@@ -327,10 +314,6 @@ class SlicerSystem:
 
         self._cloud_snapshot: bytes | None = None
         self._chaos_op = 0
-        #: Block heights chaos-delivered settlements landed at, by query id
-        #: (the chaos settle handler runs inside ``transport.deliver`` and
-        #: cannot thread the height back through the cached receipt).
-        self._settle_heights: dict[int, int] = {}
 
     # ---------------------------------------------------------------- setup
 
@@ -414,256 +397,275 @@ class SlicerSystem:
         ``as_user`` selects an extra authorised user (see
         :meth:`authorize_user`); by default the primary user searches.
         """
-        contract = self._require_setup()
-        assert self.user is not None
+        self._require_setup()
         if as_user is None:
-            searcher, searcher_address = self.user, self.user_address
+            searcher = (self.user_address, self.user)
         else:
-            searcher_address, searcher = self.extra_users[as_user]
-
-        mode = "direct" if self.transport is None else "chaos"
-        with trace.span("search", mode=mode):
-            tokens = searcher.make_tokens(query)
-            if self.transport is None:
-                outcome = self._search_direct(
-                    contract, query, payment, tokens, searcher, searcher_address
-                )
-            else:
-                outcome = self._search_chaos(
-                    contract, query, payment, tokens, searcher, searcher_address
-                )
+            searcher = self.extra_users[as_user]
+        with trace.span("search", mode="direct" if self.transport is None else "chaos"):
+            (outcome,) = self._pipeline([query], payment, searcher, batch=False)
             trace.set_attr("query_id", outcome.query_id)
             trace.set_attr("verified", outcome.verified)
-            self._record_search(outcome, payment)
         return outcome
 
-    def _search_direct(
-        self, contract, query, payment, tokens, searcher, searcher_address
-    ) -> SearchOutcome:
-        """In-process delivery — the original, fault-free flow.
+    def batch_search(
+        self, queries: list[Query], payment: int = DEFAULT_PAYMENT
+    ) -> list[SearchOutcome]:
+        """Run several queries, settled together.
 
-        Block settlement changes *when* things land, never what executes:
-        the submit still runs immediately (journaled through the builder so
-        a reorg can replay it), but the settlement stages in the mempool and
-        lands when :meth:`BlockBuilder.seal_block` packs it — same sender,
-        same calldata, same per-call gas metering, so the receipt is
-        bit-identical to the synchronous one.
+        Entry collection is batched: all submitted queries go through one
+        :meth:`CloudServer.search_many` call, which dedupes identical tokens
+        *across* the staged queries and collects over the batch-wide union —
+        per-query responses stay byte-identical to sequential
+        :meth:`CloudServer.search` calls (the entry-cache property tests
+        assert this), only the duplicated walks disappear.
+
+        Under sync settlement the n escrows share ONE
+        :meth:`SlicerContract.batch_verify_and_settle` transaction.  Under
+        block settlement the amortisation moves from the transaction to the
+        *block*: one ``verify_and_settle`` per escrow, all sealed into one
+        block, so every verdict lands in the header's settlement root and is
+        light-client provable.  Batches are direct calls even under chaos
+        delivery; only single searches cross the transport.
         """
-        with trace.span("submit"):
-            submit_receipt = self._chain_call(
-                searcher_address,
-                contract,
-                "submit_query",
-                (tokens_digest_input(tokens),),
-                value=payment,
-            )
-        if not submit_receipt.status:
-            raise StateError(f"query submission reverted: {submit_receipt.revert_reason}")
-        query_id = submit_receipt.return_value
+        self._require_setup()
+        block = {"mode": "block"} if self.builder is not None else {}
+        with trace.span("batch_search", queries=len(queries), **block):
+            return self._pipeline(queries, payment, (self.user_address, self.user), batch=True)
 
-        with trace.span("cloud.search"):
-            response = self.cloud.search(tokens)
-        settle_height: int | None = None
-        with trace.span("verify_settle"):
-            if self.builder is not None:
-                settle_receipt, settle_height = self._settle_block(
-                    contract, [(query_id, response)]
-                )[query_id]
+    def _pipeline(
+        self, queries: list[Query], payment: int, searcher, batch: bool
+    ) -> list[SearchOutcome]:
+        """tokens → submit → serve → settle → decrypt → record, once for all entry points.
+
+        Two things vary inside:
+
+        * **delivery** — direct (in-process calls, no wire encoding) or,
+          for a single search on a system with a transport, chaos: the submit
+          and the serve+settle legs cross the fault-injecting transport,
+          each retried with deterministic backoff and idempotent
+          re-submission (keyed by an operation counter, so a duplicated or
+          re-sent message never double-charges the escrow).  Exhausting the
+          retry budget degrades to an error outcome instead of raising;
+        * **settlement** — see :meth:`_settle`.
+
+        A single search is served by :meth:`CloudServer.search` and a batch
+        by :meth:`CloudServer.search_many` (their ``batch.*`` counters
+        differ).  Sync settlement mines one block per call; block
+        settlement seals as it settles.
+        """
+        contract = self.contract
+        address, user = searcher
+        chaos = self.transport is not None and not batch
+        outcomes = [SearchOutcome(query, -1, user.make_tokens(query)) for query in queries]
+
+        def submit(tokens: list[SearchToken]) -> Receipt:
+            return self._chain_call(
+                address, contract, "submit_query", (tokens_digest_input(tokens),), value=payment
+            )
+
+        try:
+            if chaos:
+                (outcome,) = outcomes
+                outcome.attempts = 0
+                op, tokens_wire = self._next_op(), wire.dump_tokens(outcome.tokens)
+            for outcome in outcomes:
+                with trace.span("submit"):
+                    if not chaos:
+                        receipt = submit(outcome.tokens)
+                    else:
+                        receipt = self._retried(
+                            outcome,
+                            "submit_query",
+                            lambda attempt: self.transport.deliver(
+                                USER_TO_CONTRACT,
+                                tokens_wire,
+                                lambda blob: submit(wire.load_tokens(blob)),
+                                idempotency_key=("submit", op),
+                                cache_if=lambda r: r.status,
+                            ),
+                        )
+                if not receipt.status:
+                    raise StateError(f"query submission reverted: {receipt.revert_reason}")
+                outcome.submit_receipt, outcome.query_id = receipt, receipt.return_value
+
+            if chaos:
+                response_wire, landed = self._retried(
+                    outcome,
+                    "verify_and_settle",
+                    lambda attempt: self._chaos_serve_settle(
+                        contract, outcome, tokens_wire, op, attempt
+                    ),
+                )
+                responses, settled = [wire.load_response(response_wire)], [landed]
             else:
-                settle_receipt = self.chain.call(
+                attrs = {"batch": len(outcomes)} if batch else {}
+                with trace.span("cloud.search", **attrs):
+                    if batch:
+                        responses = self.cloud.search_many([o.tokens for o in outcomes])
+                    else:
+                        responses = [self.cloud.search(outcomes[0].tokens)]
+                with trace.span("verify_settle", **attrs):
+                    settled = self._settle(
+                        contract,
+                        [(o.query_id, r, None) for o, r in zip(outcomes, responses)],
+                        batch,
+                    )
+        except RetryExhausted as exc:
+            # Graceful degradation: the retry budget ran out on some leg.
+            # Only a chaos search retries, and it carries one escrow.
+            (outcome,) = outcomes
+            self._mine_boundary()
+            outcome.error, outcome.failure = str(exc), DeliveryFailure.from_exception(exc)
+            self._record(outcome, payment, batch_size=None)
+            return outcomes
+
+        for outcome, response, (receipt, height, verified) in zip(outcomes, responses, settled):
+            outcome.response, outcome.settle_receipt = response, receipt
+            outcome.settle_height, outcome.verified = height, verified
+            if verified:
+                outcome.record_ids = user.decrypt_results(response)
+            self._record(outcome, payment, batch_size=len(outcomes) if batch else None)
+        if self.builder is None:
+            self.chain.mine()
+        return outcomes
+
+    def _retried(self, outcome: SearchOutcome, label: str, attempt_op):
+        """Run one chaos leg under the retry policy, counting its attempts."""
+
+        def op(attempt: int):
+            outcome.attempts += 1
+            return attempt_op(attempt)
+
+        return self.retry.run(op, transport=self.transport, label=label)
+
+    def _chaos_serve_settle(
+        self, contract, outcome: SearchOutcome, tokens_wire: bytes, op: int, attempt: int
+    ) -> tuple[bytes, tuple[Receipt, int | None, bool]]:
+        """One chaos attempt at legs 2 and 3: contract -> cloud, cloud -> contract.
+
+        The cloud's search is not cached — an honest cloud's search is a
+        pure function of its state, and re-running it after a crash restart
+        is exactly the recovery path under test.  A sharded tier runs its
+        *own* per-shard transport legs inside ``frontend.search`` (channels
+        ``contract->cloud#shardK``), so the scatter is not wrapped in a
+        second tier-wide delivery here.
+
+        The settlement's idempotency key is op-scoped (a duplicated message
+        must not re-settle); under block settlement the mempool tx id is
+        *attempt*-scoped, because a retry after a transient revert (e.g. a
+        crash-restarted cloud briefly serving a stale ``Ac``) is a new
+        staging, not a duplicate.  The handler's reply carries the landing
+        height, so a deduplicated delivery returns it too.
+        """
+        transport = self.transport
+        with trace.span("cloud.search", attempt=attempt):
+            if self._sharded:
+                response_wire = wire.dump_response(self.cloud.search(outcome.tokens))
+            else:
+                response_wire = transport.deliver(
+                    CONTRACT_TO_CLOUD,
+                    tokens_wire,
+                    lambda blob: wire.dump_response(self.cloud.search(wire.load_tokens(blob))),
+                    on_crash=self._restart_cloud,
+                )
+        with trace.span("verify_settle", attempt=attempt):
+            settled = transport.deliver(
+                CLOUD_TO_CONTRACT,
+                response_wire,
+                lambda blob: self._settle(
+                    contract,
+                    [(outcome.query_id, wire.load_response(blob), ("settle", op, attempt))],
+                    batch=False,
+                )[0],
+                idempotency_key=("settle", op),
+                cache_if=lambda s: s[0].status,
+                on_crash=self._restart_cloud,
+            )
+            if not settled[0].status:
+                # Reverts leave the query open (state rolled back), so the
+                # settlement can be retried — e.g. after a crash restart
+                # briefly served a stale Ac.
+                raise TransientChainError(f"settle reverted: {settled[0].revert_reason}")
+        return response_wire, settled
+
+    def _settle(
+        self, contract: SlicerContract, staged: list[tuple], batch: bool
+    ) -> list[tuple[Receipt, int | None, bool]]:
+        """Settle ``(query_id, response, tx_id)`` escrows: ``(receipt, height, verified)`` each.
+
+        * **sync single** — one ``verify_and_settle`` call;
+        * **sync batch** — one ``batch_verify_and_settle`` call for all of
+          them, whose per-escrow verdicts are only in its return value;
+        * **block** — one ``verify_and_settle`` per escrow staged in the
+          mempool (same sender, calldata and per-call gas metering as sync,
+          so the receipts are bit-identical), then blocks are sealed until
+          every one has landed: a :class:`ChainFaultPlan` delay pushes a tx
+          past later blocks, and the round loop keeps sealing until it
+          ripens — delayed, never lost.  ``tx_id`` None allocates a fresh
+          operation id.
+        """
+        builder = self.builder
+        if builder is not None:
+            tx_ids = []
+            for query_id, response, tx_id in staged:
+                tx_id = tx_id or ("settle", self._next_op())
+                builder.stage_settlement(
                     self.cloud_address,
                     contract,
                     "verify_and_settle",
                     (query_id, self.cloud.ads_value, response_to_chain_args(response)),
+                    gas_limit=self.settle_gas_limit,
+                    tx_id=tx_id,
                 )
-        verified = bool(settle_receipt.status and settle_receipt.return_value)
-        record_ids = searcher.decrypt_results(response) if verified else set()
-        if self.builder is None:
-            self.chain.mine()
-        return SearchOutcome(
-            query=query,
-            query_id=query_id,
-            tokens=tokens,
-            response=response,
-            verified=verified,
-            record_ids=record_ids,
-            submit_receipt=submit_receipt,
-            settle_receipt=settle_receipt,
-            settle_height=settle_height,
-        )
-
-    def _search_chaos(
-        self, contract, query, payment, tokens, searcher, searcher_address
-    ) -> SearchOutcome:
-        """Chaos delivery: every boundary crosses the fault-injecting transport.
-
-        Three legs, each retried with deterministic backoff and idempotent
-        re-submission (keyed by an operation counter, so a duplicated or
-        re-sent message never double-charges the escrow):
-
-        1. user -> contract: post tokens + payment (``submit_query``);
-        2. contract -> cloud: tokens reach the cloud, which searches;
-        3. cloud -> contract: response reaches ``verify_and_settle``.
-
-        Exhausting the retry budget degrades to an error outcome instead of
-        raising — the caller sees ``verified=False`` plus ``error``.
-        """
-        transport = self.transport
-        assert transport is not None
-        tokens_wire = wire.dump_tokens(tokens)
-        op = self._next_op()
-        attempts = {"n": 0}
-
-        def submit_op(attempt: int) -> Receipt:
-            attempts["n"] += 1
-            receipt = transport.deliver(
-                USER_TO_CONTRACT,
-                tokens_wire,
-                lambda blob: self._chain_call(
-                    searcher_address,
-                    contract,
-                    "submit_query",
-                    (tokens_digest_input(wire.load_tokens(blob)),),
-                    value=payment,
+                tx_ids.append(tx_id)
+            self._fold_membership_checks([response for _, response, _ in staged])
+            rounds = 0
+            while not all(tx_id in builder.receipts for tx_id in tx_ids):
+                if rounds == MAX_SETTLE_ROUNDS:
+                    raise StateError(f"settlement did not land within {rounds} blocks")
+                builder.seal_block()
+                rounds += 1
+            landed = [builder.receipts[tx_id] for tx_id in tx_ids]
+            return [(r, height, bool(r.status and r.return_value)) for r, height in landed]
+        if batch:
+            receipt = self.chain.call(
+                self.cloud_address,
+                contract,
+                "batch_verify_and_settle",
+                (
+                    [query_id for query_id, _, _ in staged],
+                    self.cloud.ads_value,
+                    [response_to_chain_args(response) for _, response, _ in staged],
                 ),
-                idempotency_key=("submit", op),
-                cache_if=lambda r: r.status,
             )
-            return receipt
-
-        try:
-            with trace.span("submit"):
-                submit_receipt = self.retry.run(
-                    submit_op, transport=transport, label="submit_query"
-                )
-        except RetryExhausted as exc:
-            return self._degraded(query, tokens, exc, attempts["n"])
-        if not submit_receipt.status:
-            # A genuine (non-transient) revert: same contract as direct mode.
-            raise StateError(f"query submission reverted: {submit_receipt.revert_reason}")
-        query_id = submit_receipt.return_value
-
-        def settle_op(attempt: int) -> tuple[bytes, Receipt]:
-            attempts["n"] += 1
-            # Leg 2: the cloud reads the tokens and searches.  Not cached —
-            # an honest cloud's search is a pure function of its state, and
-            # re-running it after a crash restart is exactly the recovery
-            # path under test.  A sharded tier runs its *own* per-shard
-            # transport legs inside frontend.search (channels
-            # ``contract->cloud#shardK``), so the scatter is not wrapped in
-            # a second tier-wide delivery here.
-            with trace.span("cloud.search", attempt=attempt):
-                if self._sharded:
-                    response_wire = wire.dump_response(self.cloud.search(tokens))
-                else:
-                    response_wire = transport.deliver(
-                        CONTRACT_TO_CLOUD,
-                        tokens_wire,
-                        lambda blob: wire.dump_response(self.cloud.search(wire.load_tokens(blob))),
-                        on_crash=self._restart_cloud,
-                    )
-            # Leg 3: response + current Ac to the contract for settlement.
-            # Under block settlement the delivered handler stages the tx and
-            # runs seal rounds until it lands; the idempotency key stays the
-            # op-scoped one (a duplicated message must not re-settle), while
-            # the mempool tx id is *attempt*-scoped — a retry after a
-            # transient revert is a new staging, not a duplicate.
-            if self.builder is not None:
-                settle_handler = lambda blob: self._chaos_block_settle(
-                    contract, query_id, blob, op, attempt
-                )
-            else:
-                settle_handler = lambda blob: self.chain.call(
-                    self.cloud_address,
-                    contract,
-                    "verify_and_settle",
-                    (
-                        query_id,
-                        self.cloud.ads_value,
-                        response_to_chain_args(wire.load_response(blob)),
-                    ),
-                )
-            with trace.span("verify_settle", attempt=attempt):
-                receipt = transport.deliver(
-                    CLOUD_TO_CONTRACT,
-                    response_wire,
-                    settle_handler,
-                    idempotency_key=("settle", op),
-                    cache_if=lambda r: r.status,
-                    on_crash=self._restart_cloud,
-                )
-                if not receipt.status:
-                    # Reverts leave the query open (state rolled back), so
-                    # the settlement can be retried — e.g. after a crash
-                    # restart briefly served a stale Ac.
-                    raise TransientChainError(f"settle reverted: {receipt.revert_reason}")
-            return response_wire, receipt
-
-        try:
-            response_wire, settle_receipt = self.retry.run(
-                settle_op, transport=transport, label="verify_and_settle"
-            )
-        except RetryExhausted as exc:
-            return self._degraded(
-                query,
-                tokens,
-                exc,
-                attempts["n"],
-                query_id=query_id,
-                submit_receipt=submit_receipt,
-            )
-
-        response = wire.load_response(response_wire)
-        verified = bool(settle_receipt.return_value)
-        record_ids = searcher.decrypt_results(response) if verified else set()
-        if self.builder is None:
-            self.chain.mine()
-        return SearchOutcome(
-            query=query,
-            query_id=query_id,
-            tokens=tokens,
-            response=response,
-            verified=verified,
-            record_ids=record_ids,
-            submit_receipt=submit_receipt,
-            settle_receipt=settle_receipt,
-            attempts=attempts["n"],
-            settle_height=self._settle_heights.get(query_id),
+            metrics.observe("gas.batch_verify_and_settle", receipt.gas_used)
+            verdicts = receipt.return_value if receipt.status else [False] * len(staged)
+            return [(receipt, None, bool(v)) for v in verdicts]
+        ((query_id, response, _),) = staged
+        receipt = self.chain.call(
+            self.cloud_address,
+            contract,
+            "verify_and_settle",
+            (query_id, self.cloud.ads_value, response_to_chain_args(response)),
         )
+        return [(receipt, None, bool(receipt.status and receipt.return_value))]
 
-    def _degraded(
-        self,
-        query: Query,
-        tokens: list[SearchToken],
-        exc: RetryExhausted,
-        attempts: int,
-        query_id: int = -1,
-        submit_receipt: Receipt | None = None,
-    ) -> SearchOutcome:
-        """Graceful degradation: the retry budget ran out on some leg."""
-        self._mine_boundary()
-        return SearchOutcome(
-            query=query,
-            query_id=query_id,
-            tokens=tokens,
-            response=None,
-            verified=False,
-            record_ids=set(),
-            submit_receipt=submit_receipt,
-            settle_receipt=None,
-            error=str(exc),
-            attempts=attempts,
-            failure=DeliveryFailure.from_exception(exc),
-        )
+    def _record(self, outcome: SearchOutcome, payment: int, batch_size: int | None) -> None:
+        """The one audit writer: fold one escrow into the audit log and metrics.
 
-    def _record_search(self, outcome: SearchOutcome, payment: int) -> None:
-        """Fold one search into the audit log and the metrics registry.
+        Called inside the entry point's root span, so the audit record
+        carries the trace id of the span tree it corresponds to.  The
+        verdict mirrors the outcome exactly: ``paid`` iff the contract
+        verified, ``refunded`` iff it settled unverified, ``degraded`` iff
+        delivery gave up — the chaos property tests assert this.
 
-        Called inside the search's root span, so the audit record carries
-        the trace id of the span tree it corresponds to.  The verdict must
-        mirror the outcome exactly: ``paid`` iff the contract verified,
-        ``refunded`` iff it settled unverified, ``degraded`` iff delivery
-        gave up — the chaos property tests assert this correspondence.
+        A single search (``batch_size`` None) observes the ``search.*`` and
+        per-transaction gas histograms and records its ``fault_step``.  A
+        batch record carries ``batch_size``; under sync settlement its gas
+        is the query's own submit tx, and the shared batch settlement tx is
+        attributed once via ``batch_settle_gas`` rather than inflated onto
+        every record.
         """
         if outcome.error is not None:
             verdict = VERDICT_DEGRADED
@@ -673,144 +675,40 @@ class SlicerSystem:
             verdict = VERDICT_REFUNDED
         submit_gas = outcome.submit_receipt.gas_used if outcome.submit_receipt else 0
         settle_gas = outcome.settle_receipt.gas_used if outcome.settle_receipt else 0
-        metrics.observe("search.tokens_posted", len(outcome.tokens))
-        metrics.observe("search.result_ids", len(outcome.record_ids))
-        metrics.observe("search.attempts", outcome.attempts)
-        if outcome.submit_receipt is not None:
-            metrics.observe("gas.submit_query", submit_gas)
-        if outcome.settle_receipt is not None:
+        shared_settle = batch_size is not None and self.builder is None
+        extra: dict = {}
+        if batch_size is None:
+            metrics.observe("search.tokens_posted", len(outcome.tokens))
+            metrics.observe("search.result_ids", len(outcome.record_ids))
+            metrics.observe("search.attempts", outcome.attempts)
+            if outcome.submit_receipt is not None:
+                metrics.observe("gas.submit_query", submit_gas)
+            extra["fault_step"] = outcome.failure.fault_step if outcome.failure else None
+        else:
+            extra["batch_size"] = batch_size
+        if shared_settle:
+            extra["batch_settle_gas"] = settle_gas
+            settle_gas = 0
+        elif outcome.settle_receipt is not None:
             metrics.observe("gas.verify_and_settle", settle_gas)
-        failure = outcome.failure
-        shard_extra = (
-            {"shards": self.cloud.shards_for_tokens(outcome.tokens)}
-            if self._sharded
-            else {}
-        )
-        block_extra = (
-            {"block": outcome.settle_height}
-            if outcome.settle_height is not None
-            else {}
-        )
+        if outcome.settle_height is not None:
+            extra["block"] = outcome.settle_height
+        if self._sharded:
+            extra["shards"] = self.cloud.shards_for_tokens(outcome.tokens)
         obs_audit.AUDIT_LOG.append(
             query_id=str(outcome.query_id),
             verdict=verdict,
             tokens_posted=len(outcome.tokens),
             result_count=len(outcome.record_ids),
             accumulator=self.cloud.ads_value if outcome.response is not None else None,
-            paid_to="cloud" if verdict == VERDICT_PAID else (
-                "user" if verdict == VERDICT_REFUNDED else None
-            ),
+            paid_to={VERDICT_PAID: "cloud", VERDICT_REFUNDED: "user"}.get(verdict),
             amount=payment if verdict != VERDICT_DEGRADED else 0,
             gas=submit_gas + settle_gas,
             attempts=outcome.attempts,
             trace_id=trace.current_trace_id(),
             detail=outcome.error,
-            fault_step=failure.fault_step if failure else None,
-            **shard_extra,
-            **block_extra,
+            **extra,
         )
-
-    def range_search(self, range_query: RangeQuery, payment: int = DEFAULT_PAYMENT) -> RangeOutcome:
-        """Two-sided range = one verified search per side, intersected."""
-        queries = range_query.to_queries(self.params.value_bits)
-        return RangeOutcome([self.search(q, payment) for q in queries])
-
-    def batch_search(
-        self, queries: list[Query], payment: int = DEFAULT_PAYMENT
-    ) -> list[SearchOutcome]:
-        """Run several queries, settled by ONE batched contract call.
-
-        Gas-amortised extension: n queries share one settlement transaction
-        (see :meth:`SlicerContract.batch_verify_and_settle`).  Entry
-        collection is batched too: all submitted queries go through one
-        :meth:`CloudServer.search_many` call, which dedupes identical tokens
-        *across* the staged queries and collects over the batch-wide union —
-        per-query responses stay byte-identical to sequential
-        :meth:`CloudServer.search` calls (the entry-cache property tests
-        assert this), only the duplicated walks disappear.
-
-        Under block settlement the amortisation moves from the transaction
-        to the *block*: see :meth:`_batch_search_block`.
-        """
-        contract = self._require_setup()
-        assert self.user is not None
-        if self.builder is not None:
-            return self._batch_search_block(contract, queries, payment)
-
-        with trace.span("batch_search", queries=len(queries)):
-            submitted = []
-            for query in queries:
-                tokens = self.user.make_tokens(query)
-                with trace.span("submit"):
-                    submit = self.chain.call(
-                        self.user_address,
-                        contract,
-                        "submit_query",
-                        (tokens_digest_input(tokens),),
-                        value=payment,
-                    )
-                if not submit.status:
-                    raise StateError(f"query submission reverted: {submit.revert_reason}")
-                submitted.append((query, submit, tokens))
-            with trace.span("cloud.search", batch=len(submitted)):
-                responses = self.cloud.search_many([t for _, _, t in submitted])
-            staged = [
-                (query, submit, tokens, response)
-                for (query, submit, tokens), response in zip(submitted, responses)
-            ]
-
-            with trace.span("verify_settle", batch=len(staged)):
-                settle = self.chain.call(
-                    self.cloud_address,
-                    contract,
-                    "batch_verify_and_settle",
-                    (
-                        [s.return_value for _, s, _, _ in staged],
-                        self.cloud.ads_value,
-                        [response_to_chain_args(r) for _, _, _, r in staged],
-                    ),
-                )
-            metrics.observe("gas.batch_verify_and_settle", settle.gas_used)
-            verdicts = settle.return_value if settle.status else [False] * len(staged)
-            outcomes = []
-            trace_id = trace.current_trace_id()
-            for (query, submit, tokens, response), verified in zip(staged, verdicts):
-                outcome = SearchOutcome(
-                    query=query,
-                    query_id=submit.return_value,
-                    tokens=tokens,
-                    response=response,
-                    verified=bool(verified),
-                    record_ids=self.user.decrypt_results(response) if verified else set(),
-                    submit_receipt=submit,
-                    settle_receipt=settle,
-                )
-                outcomes.append(outcome)
-                verdict = VERDICT_PAID if outcome.verified else VERDICT_REFUNDED
-                # Per-record gas is this query's submit tx; the shared batch
-                # settlement tx is attributed once via `extra`, not inflated
-                # onto every record.
-                obs_audit.AUDIT_LOG.append(
-                    query_id=str(outcome.query_id),
-                    verdict=verdict,
-                    tokens_posted=len(tokens),
-                    result_count=len(outcome.record_ids),
-                    accumulator=self.cloud.ads_value,
-                    paid_to="cloud" if outcome.verified else "user",
-                    amount=payment,
-                    gas=submit.gas_used,
-                    attempts=1,
-                    trace_id=trace_id,
-                    batch_size=len(staged),
-                    batch_settle_gas=settle.gas_used,
-                    **(
-                        {"shards": self.cloud.shards_for_tokens(tokens)}
-                        if self._sharded
-                        else {}
-                    ),
-                )
-            self.chain.mine()
-        return outcomes
 
     # -------------------------------------------------------------- planner
 
@@ -905,47 +803,6 @@ class SlicerSystem:
         else:
             self.chain.mine()
 
-    def _settle_block(
-        self, contract: SlicerContract, staged: list[tuple[int, SearchResponse]]
-    ) -> dict[int, tuple[Receipt, int]]:
-        """Stage every ``(query_id, response)`` settlement and seal until landed.
-
-        Returns ``query_id -> (receipt, block_number)``.  One seal round
-        normally lands everything; a :class:`ChainFaultPlan` delay pushes a
-        staged tx past later blocks, and the round loop keeps sealing until
-        it ripens — delayed, never lost.
-        """
-        assert self.builder is not None and self.mempool is not None
-        tx_ids: dict[int, tuple] = {}
-        for query_id, response in staged:
-            tx_id = ("settle", self._next_op())
-            self.builder.stage_settlement(
-                self.cloud_address,
-                contract,
-                "verify_and_settle",
-                (query_id, self.cloud.ads_value, response_to_chain_args(response)),
-                gas_limit=self.settle_gas_limit,
-                tx_id=tx_id,
-            )
-            tx_ids[query_id] = tx_id
-        self._fold_membership_checks([response for _, response in staged])
-        landed = self._run_settle_rounds(list(tx_ids.values()))
-        return {query_id: landed[tx_id] for query_id, tx_id in tx_ids.items()}
-
-    def _run_settle_rounds(self, tx_ids: list[tuple]) -> dict[tuple, tuple[Receipt, int]]:
-        """Seal blocks until every staged tx has a receipt (delay-tolerant)."""
-        builder = self.builder
-        assert builder is not None
-        rounds = 0
-        while any(tx_id not in builder.receipts for tx_id in tx_ids):
-            if rounds >= MAX_SETTLE_ROUNDS:
-                raise StateError(
-                    f"settlement did not land within {MAX_SETTLE_ROUNDS} blocks"
-                )
-            builder.seal_block()
-            rounds += 1
-        return {tx_id: builder.receipts[tx_id] for tx_id in tx_ids}
-
     def _fold_membership_checks(self, responses: list[SearchResponse]) -> None:
         """Trusted self-check: fold one settle round's membership checks
         through the batched kernel.
@@ -976,112 +833,6 @@ class SlicerSystem:
         perfstats.incr("blockmode.selfcheck.pass" if ok else "blockmode.selfcheck.fail")
         perfstats.incr("blockmode.selfcheck.items", len(items))
         trace.event("blockmode.selfcheck", ok=ok, items=len(items))
-
-    def _chaos_block_settle(
-        self, contract: SlicerContract, query_id: int, blob: bytes, op: int, attempt: int
-    ) -> Receipt:
-        """Chaos-delivery settle handler under block settlement.
-
-        The mempool tx id is attempt-scoped: after a transient revert (e.g.
-        a crash-restarted cloud briefly serving a stale ``Ac``) the retry
-        stages a *new* transaction — the mempool's duplicate guard would
-        permanently reject a re-staging under the old id, and rightly so.
-        """
-        assert self.builder is not None
-        response = wire.load_response(blob)
-        tx_id = ("settle", op, attempt)
-        self.builder.stage_settlement(
-            self.cloud_address,
-            contract,
-            "verify_and_settle",
-            (query_id, self.cloud.ads_value, response_to_chain_args(response)),
-            gas_limit=self.settle_gas_limit,
-            tx_id=tx_id,
-        )
-        self._fold_membership_checks([response])
-        receipt, height = self._run_settle_rounds([tx_id])[tx_id]
-        self._settle_heights[query_id] = height
-        return receipt
-
-    def _batch_search_block(
-        self, contract: SlicerContract, queries: list[Query], payment: int
-    ) -> list[SearchOutcome]:
-        """Block-mode batch: one sealed block settles every staged escrow.
-
-        Where the synchronous batch amortises gas into a single
-        ``batch_verify_and_settle`` transaction (whose verdicts are only in
-        the receipt), the block-mode batch stages one ``verify_and_settle``
-        per escrow and lets ONE block carry them all — the amortisation
-        moves from the transaction to the block, and every verdict lands in
-        the header's settlement root individually, so each is light-client
-        provable.  The cloud still folds the whole round's membership
-        checks through the trusted batch kernel in one pass.
-        """
-        assert self.user is not None
-        with trace.span("batch_search", queries=len(queries), mode="block"):
-            submitted = []
-            for query in queries:
-                tokens = self.user.make_tokens(query)
-                with trace.span("submit"):
-                    submit = self._chain_call(
-                        self.user_address,
-                        contract,
-                        "submit_query",
-                        (tokens_digest_input(tokens),),
-                        value=payment,
-                    )
-                if not submit.status:
-                    raise StateError(f"query submission reverted: {submit.revert_reason}")
-                submitted.append((query, submit, tokens))
-            with trace.span("cloud.search", batch=len(submitted)):
-                responses = self.cloud.search_many([t for _, _, t in submitted])
-            with trace.span("verify_settle", batch=len(submitted)):
-                landed = self._settle_block(
-                    contract,
-                    [
-                        (submit.return_value, response)
-                        for (_, submit, _), response in zip(submitted, responses)
-                    ],
-                )
-            outcomes = []
-            trace_id = trace.current_trace_id()
-            for (query, submit, tokens), response in zip(submitted, responses):
-                settle, height = landed[submit.return_value]
-                verified = bool(settle.status and settle.return_value)
-                metrics.observe("gas.verify_and_settle", settle.gas_used)
-                outcome = SearchOutcome(
-                    query=query,
-                    query_id=submit.return_value,
-                    tokens=tokens,
-                    response=response,
-                    verified=verified,
-                    record_ids=self.user.decrypt_results(response) if verified else set(),
-                    submit_receipt=submit,
-                    settle_receipt=settle,
-                    settle_height=height,
-                )
-                outcomes.append(outcome)
-                verdict = VERDICT_PAID if verified else VERDICT_REFUNDED
-                obs_audit.AUDIT_LOG.append(
-                    query_id=str(outcome.query_id),
-                    verdict=verdict,
-                    tokens_posted=len(tokens),
-                    result_count=len(outcome.record_ids),
-                    accumulator=self.cloud.ads_value,
-                    paid_to="cloud" if verified else "user",
-                    amount=payment,
-                    gas=submit.gas_used + settle.gas_used,
-                    attempts=1,
-                    trace_id=trace_id,
-                    batch_size=len(submitted),
-                    block=height,
-                    **(
-                        {"shards": self.cloud.shards_for_tokens(tokens)}
-                        if self._sharded
-                        else {}
-                    ),
-                )
-        return outcomes
 
     def settlement_proof(self, outcome: SearchOutcome) -> SettlementProof:
         """Build the light-client proof that ``outcome``'s verdict settled.

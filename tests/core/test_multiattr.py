@@ -6,9 +6,9 @@ from repro.common.errors import ParameterError
 from repro.common.rng import default_rng
 from repro.core.cloud import CloudServer
 from repro.core.owner import DataOwner
-from repro.core.query import Query
+from repro.core.query import Query, Range
 from repro.core.records import AttributedDatabase, encode_record_id
-from repro.core.user import DataUser, RangeQuery
+from repro.core.user import DataUser
 from repro.core.verify import verify_response
 
 
@@ -70,10 +70,10 @@ class TestMultiAttrVerification:
     def test_range_per_attribute(self, world):
         _, cloud, user, db = world
         sides = [
-            user.decrypt_results(cloud.search(tokens))
-            for _, tokens in user.range_tokens(RangeQuery(35, 75, attribute="score"))
+            user.decrypt_results(cloud.search(user.make_tokens(q)))
+            for q in Range(35, 75, attribute="score").to_queries(8)
         ]
-        combined = DataUser.intersect_range_results(sides)
+        combined = set.intersection(*sides)
         assert combined == db.ids_matching("score", lambda v: 35 <= v <= 75)
 
     def test_insert_multiattr(self, world, tparams):

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.common.errors import ParameterError
-from repro.core.query import MatchCondition, Query
-from repro.core.user import RangeQuery
+from repro.core.query import MatchCondition, Query, Range
 
 
 class TestMatchCondition:
@@ -50,35 +49,35 @@ class TestQueryPredicate:
 
 class TestRangeQuery:
     def test_interior_range_two_sides(self):
-        queries = RangeQuery(10, 20).to_queries(8)
+        queries = Range(10, 20).to_queries(8)
         assert len(queries) == 2
         preds = [q.predicate() for q in queries]
         for a in range(0, 256, 7):
             assert all(p(a) for p in preds) == (10 <= a <= 20)
 
     def test_touching_zero_drops_lower_side(self):
-        queries = RangeQuery(0, 20).to_queries(8)
+        queries = Range(0, 20).to_queries(8)
         assert len(queries) == 1
         assert queries[0].condition is MatchCondition.GREATER
 
     def test_touching_max_drops_upper_side(self):
-        queries = RangeQuery(10, 255).to_queries(8)
+        queries = Range(10, 255).to_queries(8)
         assert len(queries) == 1
         assert queries[0].condition is MatchCondition.LESS
 
     def test_point_range_is_equality(self):
-        queries = RangeQuery(7, 7).to_queries(8)
+        queries = Range(7, 7).to_queries(8)
         assert len(queries) == 1
         assert queries[0].condition is MatchCondition.EQUAL
 
     def test_full_domain_rejected(self):
         with pytest.raises(ParameterError):
-            RangeQuery(0, 255).to_queries(8)
+            Range(0, 255).to_queries(8)
 
     def test_empty_range_rejected(self):
         with pytest.raises(ParameterError):
-            RangeQuery(20, 10).to_queries(8)
+            Range(20, 10).to_queries(8)
 
     def test_out_of_domain_rejected(self):
         with pytest.raises(ParameterError):
-            RangeQuery(0, 256).to_queries(8)
+            Range(0, 256).to_queries(8)

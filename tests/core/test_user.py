@@ -5,9 +5,11 @@ import pytest
 from repro.common.errors import StateError
 from repro.common.rng import default_rng
 from repro.core.cloud import CloudServer
-from repro.core.query import Query
+from repro.core.query import Query, Range
 from repro.core.records import Database, encode_record_id, make_database
-from repro.core.user import DataUser, RangeQuery
+from repro.core.user import DataUser
+from repro.planner import compile_plan
+from repro.system import PlanOutcome
 
 
 @pytest.fixture()
@@ -73,20 +75,22 @@ class TestRefresh:
 class TestRangeComposition:
     def test_two_sided_range(self, world):
         _, cloud, user, db = world
-        rq = RangeQuery(50, 120)
-        sides = []
-        for query, tokens in user.range_tokens(rq):
-            sides.append(user.decrypt_results(cloud.search(tokens)))
-        combined = DataUser.intersect_range_results(sides)
+        sides = [
+            user.decrypt_results(cloud.search(user.make_tokens(q)))
+            for q in Range(50, 120).to_queries(8)
+        ]
+        assert len(sides) == 2
+        combined = set.intersection(*sides)
         assert combined == db.ids_matching(lambda v: 50 <= v <= 120)
 
     def test_point_range(self, world):
         _, cloud, user, db = world
         sides = [
-            user.decrypt_results(cloud.search(tokens))
-            for _, tokens in user.range_tokens(RangeQuery(11, 11))
+            user.decrypt_results(cloud.search(user.make_tokens(q)))
+            for q in Range(11, 11).to_queries(8)
         ]
-        assert DataUser.intersect_range_results(sides) == db.ids_matching(lambda v: v == 11)
+        assert set.intersection(*sides) == db.ids_matching(lambda v: v == 11)
 
     def test_empty_sides(self):
-        assert DataUser.intersect_range_results([]) == set()
+        # A plan with no executed legs answers nothing.
+        assert PlanOutcome(compile_plan(Range(3, 9), 8), []).record_ids == set()

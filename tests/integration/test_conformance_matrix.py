@@ -26,9 +26,8 @@ from repro.common import perfstats
 from repro.common.rng import default_rng
 from repro.core import wire
 from repro.core.cloud import CloudServer, MaliciousCloud, Misbehavior
-from repro.core.query import Query
+from repro.core.query import Query, Range
 from repro.core.records import make_database
-from repro.core.user import RangeQuery
 from repro.system import DEFAULT_FUNDING, SlicerSystem
 
 PAYMENT = 5000
@@ -44,7 +43,11 @@ PROFILE_NAMES = ["clean", "lossy", "crash_restart"]
 SHAPES = [
     ("eq", lambda s: [s.search(Query.parse(7, "="), payment=PAYMENT)]),
     ("one_sided", lambda s: [s.search(Query.parse(40, ">"), payment=PAYMENT)]),
-    ("range", lambda s: s.range_search(RangeQuery(5, 64), payment=PAYMENT).sides),
+    # Each leg of a two-sided range crosses the chaos transport as its own search.
+    (
+        "range",
+        lambda s: [s.search(q, payment=PAYMENT) for q in Range(5, 64).to_queries(8)],
+    ),
     ("empty", lambda s: [s.search(Query.parse(101, "="), payment=PAYMENT)]),
 ]
 

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.common.rng import default_rng
-from repro.core.query import Query
+from repro.core.query import Query, Range
 from repro.core.records import Database, make_database
-from repro.core.user import RangeQuery
 from repro.system import SlicerSystem
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
 
@@ -32,7 +31,7 @@ class TestSearchMatchesOracle:
         assert outcome.record_ids == system._oracle.ids_matching(query.predicate())
 
     def test_range_search(self, system):
-        outcome = system.range_search(RangeQuery(60, 180))
+        outcome = system.search_plan(Range(60, 180))
         assert outcome.verified
         assert outcome.record_ids == system._oracle.ids_matching(lambda v: 60 <= v <= 180)
 

@@ -6,8 +6,9 @@ from repro.common.errors import StateError
 from repro.common.rng import default_rng
 from repro.core.query import Query
 from repro.core.records import Database, make_database
-from repro.system import RangeOutcome, SlicerSystem
-from repro.core.user import RangeQuery
+from repro.core.query import Range
+from repro.planner import compile_plan
+from repro.system import PlanOutcome, SlicerSystem
 
 
 class TestLifecycleGuards:
@@ -28,23 +29,23 @@ class TestLifecycleGuards:
 
 class TestRangeOutcome:
     def test_empty_outcome(self):
-        outcome = RangeOutcome([])
+        outcome = PlanOutcome(compile_plan(Range(5, 9), 8), [])
         assert outcome.verified
         assert outcome.record_ids == set()
 
     def test_point_range_on_chain(self, tparams):
         system = SlicerSystem(tparams, rng=default_rng(233))
         system.setup(make_database([("a", 7), ("b", 9)], bits=8))
-        outcome = system.range_search(RangeQuery(7, 7))
+        outcome = system.search_plan(Range(7, 7))
         assert outcome.verified
         assert len(outcome.record_ids) == 1
 
     def test_edge_touching_range(self, tparams):
         system = SlicerSystem(tparams, rng=default_rng(234))
         system.setup(make_database([("a", 0), ("b", 9), ("c", 255)], bits=8))
-        low = system.range_search(RangeQuery(0, 10))
+        low = system.search_plan(Range(0, 10))
         assert low.verified and len(low.record_ids) == 2
-        high = system.range_search(RangeQuery(100, 255))
+        high = system.search_plan(Range(100, 255))
         assert high.verified and len(high.record_ids) == 1
 
 
@@ -65,3 +66,28 @@ class TestEmptyResultSearch:
         outcome = system.search(Query.parse(100, ">"))
         assert outcome.verified
         assert outcome.record_ids == set()
+
+
+class TestDeploymentLifetime:
+    def test_dropped_deployment_freed_without_cycle_collector(self, tparams):
+        """The contract points back at its chain weakly, so dropping the last
+        reference to a deployment frees it by refcount alone."""
+        import gc
+        import weakref
+
+        system = SlicerSystem(tparams, rng=default_rng(236))
+        system.setup(make_database([("a", 7), ("b", 9)], bits=8))
+        assert system.search(Query.parse(7, "="), payment=50).verified  # pays via _transfer
+        refs = {
+            "chain": weakref.ref(system.chain),
+            "contract": weakref.ref(system.contract),
+            "cloud": weakref.ref(system.cloud),
+            "system": weakref.ref(system),
+        }
+        gc.disable()
+        try:
+            del system
+            alive = sorted(name for name, ref in refs.items() if ref() is not None)
+        finally:
+            gc.enable()
+        assert alive == []

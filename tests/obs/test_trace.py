@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.errors import TransportTimeout
 from repro.obs.metrics import set_obs_enabled
-from repro.obs.trace import TRACER, Tracer
+from repro.obs.trace import MAX_BUFFERED_SPANS, TRACER, Tracer
 
 
 @pytest.fixture()
@@ -108,6 +108,20 @@ class TestSinkAndLifecycle:
         with tracer.span("a"):
             pass
         assert tracer.export()[0]["span_id"] == first_id
+
+    def test_buffer_keeps_only_the_newest_spans(self, tmp_path):
+        tracer = Tracer()
+        path = tmp_path / "trace.jsonl"
+        tracer.set_sink(str(path))
+        total = MAX_BUFFERED_SPANS + 5
+        for i in range(total):
+            with tracer.span("op", i=i):
+                pass
+        buffered = tracer.export()
+        assert len(buffered) == MAX_BUFFERED_SPANS
+        assert [s["attrs"]["i"] for s in buffered] == list(range(5, total))
+        # the sink still has every span
+        assert len(path.read_text().splitlines()) == total
 
     def test_span_durations_reach_metrics(self):
         from repro.obs.metrics import REGISTRY

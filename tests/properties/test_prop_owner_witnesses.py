@@ -17,10 +17,10 @@ from hypothesis import given, settings, strategies as st
 from repro.common import perfstats
 from repro.common.rng import default_rng
 from repro.core.cloud import CloudServer
-from repro.core.deletion import DualInstanceSlicer
 from repro.core.query import Query
 from repro.core.records import make_database
 from repro.crypto.accumulator import root_factor
+from repro.dual_system import DualSlicerSystem
 from repro.sharding import HashShardPlan
 from repro.system import DEFAULT_FUNDING, SlicerSystem
 
@@ -61,15 +61,16 @@ class TestOwnerWitnessesEqualMemWit:
             assert merged == expected
 
     def test_dual_instance(self, tparams):
-        dual = DualInstanceSlicer(tparams, default_rng(5), trapdoor_bits=512)
-        dual.build(database([3, 9, 9, 200]))
+        dual = DualSlicerSystem(tparams, default_rng(5))
+        dual.setup(database([3, 9, 9, 200]))
         dual.insert(b"rec-new1", 9)
         dual.delete(b"\x00\x00\x00rec-1")
-        for cloud in (dual.insert_cloud, dual.delete_cloud):
+        for system in (dual.insert_system, dual.delete_system):
+            cloud = system.cloud
             assert cloud._owner_witnesses == memwit(tparams, cloud._primes)
         result = dual.search(Query.parse(9, "="))
         assert result.verified
-        assert result.ids == {b"\x00\x00\x00rec-2", b"rec-new1"}
+        assert result.record_ids == {b"\x00\x00\x00rec-2", b"rec-new1"}
 
 
 class TestCorruptOwnerWitness:

@@ -2,18 +2,22 @@
 
 import pytest
 
-from repro.common.errors import ParameterError
+from repro.common.errors import ParameterError, StateError
 from repro.common.rng import default_rng
 from repro.core.keywords import equality_keyword
 from repro.core.query import Query
 from repro.core.state import CloudPackage, EncryptedIndex
-from repro.core.tokens import derive_g1_g2
+from repro.core.cloud import SearchResponse, TokenResult
+from repro.core.tokens import SearchToken, derive_g1_g2
+from repro.crypto.accumulator import MembershipWitness
 from repro.sharding.plan import (
     HashShardPlan,
     ShardPackage,
     dump_shard_package,
     equality_route,
     load_shard_package,
+    merge_responses,
+    route_tokens,
     split_package,
 )
 
@@ -45,6 +49,44 @@ class TestHashShardPlan:
     def test_route_is_independent_of_plan_instance(self):
         g1 = b"\x01" * 16
         assert HashShardPlan(7).shard_of(g1) == HashShardPlan(7).shard_of(g1)
+
+
+def _tokens(n):
+    return [SearchToken(b"t%d" % i, i, RNG.token_bytes(16), b"g2") for i in range(n)]
+
+
+def _serve(tokens):
+    """A stand-in shard: one result per token, tagged by its epoch."""
+    return SearchResponse(
+        [TokenResult(t, [bytes([t.epoch])], MembershipWitness(1)) for t in tokens]
+    )
+
+
+class TestRouteAndMerge:
+    def test_slices_partition_tokens_in_shard_then_token_order(self):
+        plan = HashShardPlan(3)
+        tokens = _tokens(30)
+        route, slices = route_tokens(plan, tokens)
+        assert route == [plan.shard_of(t.g1) for t in tokens]
+        assert list(slices) == sorted(set(route))
+        for sid, shard_tokens in slices.items():
+            assert shard_tokens == [t for t, r in zip(tokens, route) if r == sid]
+
+    def test_merge_restores_token_order(self):
+        tokens = _tokens(30)
+        route, slices = route_tokens(HashShardPlan(4), tokens)
+        merged = merge_responses(route, {sid: _serve(ts) for sid, ts in slices.items()})
+        assert [r.token for r in merged.results] == tokens
+        assert merged.results == _serve(tokens).results
+
+    def test_short_partial_refused(self):
+        tokens = _tokens(12)
+        route, slices = route_tokens(HashShardPlan(2), tokens)
+        partials = {sid: _serve(ts) for sid, ts in slices.items()}
+        victim = next(iter(partials))
+        partials[victim].results.pop()
+        with pytest.raises(StateError, match=f"shard {victim} answered"):
+            merge_responses(route, partials)
 
 
 class TestSplitPackage:
