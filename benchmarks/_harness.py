@@ -127,15 +127,17 @@ def touch_benchmark(benchmark) -> None:
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
-def write_report(name: str, text: str, data: dict | None = None) -> None:
-    """Persist a rendered figure/table and echo it to stdout.
+def write_report(
+    name: str, text: str, data: dict | None = None, out: pathlib.Path = REPORT_DIR
+) -> None:
+    """Persist a rendered figure/table under ``out`` and echo it to stdout.
 
     When ``data`` is given, a machine-readable twin is written next to the
     text report as ``BENCH_<name>.json`` (with the environment knobs that
     produced it stamped in), so downstream tooling never scrapes tables.
     """
-    REPORT_DIR.mkdir(exist_ok=True)
-    path = REPORT_DIR / f"{name}.txt"
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / f"{name}.txt"
     path.write_text(text + "\n")
     if data is not None:
         payload = {
@@ -147,6 +149,6 @@ def write_report(name: str, text: str, data: dict | None = None) -> None:
             },
             **data,
         }
-        json_path = REPORT_DIR / f"BENCH_{name}.json"
+        json_path = out / f"BENCH_{name}.json"
         json_path.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\n{text}\n[report written to {path}]")

@@ -18,8 +18,10 @@ including a batched ``search_many`` over the whole stream — must reproduce
 the kernels-off responses byte for byte.  The JSON twin records the
 ``cloud.entry_cache.*`` / ``cloud.collect.*`` counter snapshots next to
 every timing so the speedups are attributable (spliced entries up, index
-probes and PRF evaluations down), not anecdotal.  The ZIPF warm pass must
-beat the cold pass by >= 5x or the sweep fails.
+probes and PRF evaluations down), not anecdotal.  The warm replay must
+touch neither the index nor the PRF (zero ``cloud.collect.index_probes``
+and ``cloud.collect.prf_evals``) or the sweep fails; the wall-clock
+speedups are reported, not gated.
 """
 
 from __future__ import annotations
@@ -48,9 +50,6 @@ BITS = 8
 #: Queries per stream and the size of the pool they are drawn from.
 STREAM = 24
 POOL = 8
-
-#: The acceptance bar: ZIPF warm replay vs forced-cold, same stream.
-MIN_ZIPF_SPEEDUP = 5.0
 
 _KEYS = KeyBundle.generate(default_rng(2029), 1024)
 
@@ -153,14 +152,13 @@ def _run_streams(n: int, popularity: QueryPopularity) -> dict:
     assert warm == reference, "warm replay drifted from kernels-off"
     assert batch_dumps == reference, "batched search drifted from kernels-off"
 
-    # Counter-verified attribution: the warm replay splices cached epoch
-    # suffixes instead of probing the index / evaluating PRFs.
+    # The gate: the warm replay splices cached epoch suffixes and never
+    # probes the index or evaluates a PRF.  Counters, not a warm/cold
+    # wall-clock floor, because that ratio moves whenever cold gets cheaper.
     assert warm_counters.get("cloud.entry_cache.spliced_entries", 0) > 0
     assert warm_counters.get("cloud.entry_cache.miss", 0) == 0
-    probes = "cloud.collect.index_probes"
-    prf = "cloud.collect.prf_evals"
-    assert warm_counters.get(probes, 0) < cold_counters.get(probes, 0)
-    assert warm_counters.get(prf, 0) < cold_counters.get(prf, 0)
+    assert warm_counters.get("cloud.collect.index_probes", 0) == 0
+    assert warm_counters.get("cloud.collect.prf_evals", 0) == 0
 
     return {
         "timings": {
@@ -196,12 +194,6 @@ def test_hotpath_repeat_sweep(benchmark, scale):
                 _RESULTS[f"{mode.value}/{n}"] = result
                 for leg in ("cold", "first", "warm"):
                     _SERIES[(mode, leg)].add(n, result["timings"][f"{leg}_s"])
-                if mode is QueryPopularity.ZIPF:
-                    speedup = result["speedup"]["warm_vs_cold"]
-                    assert speedup >= MIN_ZIPF_SPEEDUP, (
-                        f"ZIPF warm replay only {speedup:.1f}x faster than "
-                        f"cold at n={n} (need >= {MIN_ZIPF_SPEEDUP}x)"
-                    )
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
     assert len(_RESULTS) == 2 * len(scale.record_counts)
@@ -218,7 +210,6 @@ def test_hotpath_repeat_report(benchmark, scale):
             "value_bits": BITS,
             "stream_queries": STREAM,
             "pool_size": POOL,
-            "min_zipf_speedup": MIN_ZIPF_SPEEDUP,
             "per_stream": dict(sorted(_RESULTS.items())),
             "responses_identical": True,  # asserted during the sweep
         },

@@ -1,36 +1,33 @@
 #!/usr/bin/env python
-"""CI smoke benchmark: one small end-to-end deployment, timed and verified.
+"""Smoke scenario table: every small Slicer flow, gated bit for bit.
 
-Runs Build -> Search -> precompute-witnesses -> Insert -> Search on a
-smoke-scale database and writes ``reports/BENCH_smoke.json`` (plus the
-text twin) via the shared harness.  Each run also writes a JSONL span trace (``reports/TRACE_smoke.jsonl`` /
-``TRACE_chaos.jsonl``) and, for chaos runs, the settlement audit log
-(``reports/AUDIT_chaos.jsonl``) — both readable via
-``python -m repro report``.
+Each row of :data:`CELLS` runs one small end-to-end flow (Build / Search
+/ Insert, settle, verify against ``Ac``), asserts its own invariants
+(every search verified, oracle-exact answers, byte-identical repeats)
+and then compares named sections of its report *exactly* against a
+committed baseline under ``reports/``.  Everything compared is
+machine-independent: deterministic counters, value-histograms and
+settlement-ledger totals are a pure function of the seeds, so there is
+no tolerance band and no wall-clock gate — any drift is a behaviour
+change, and the baseline is regenerated deliberately or not at all.
 
-With ``--chaos-seed`` the smoke run instead goes through the full
-four-party :class:`~repro.system.SlicerSystem` behind a fault-injecting
-:class:`~repro.chaos.ChaosTransport`: every search must still settle paid
-(``retry.gave_up == 0``) while faults are demonstrably injected, and the
-run writes ``reports/BENCH_chaos.json`` whose ``chaos.*`` / ``retry.*``
-counters are exactly reproducible from the recorded seed — the invariant
-``check_regression.py --chaos`` gates on.
+Fresh reports, traces and audit logs go under ``--out`` (default: the
+git-ignored ``reports/fresh/``), never over a committed baseline.  To
+regenerate the baselines on purpose, pass ``--out benchmarks/reports``.
 
-With ``--settlement {sync,block}`` it runs the full-system settlement
-smoke in that mode and writes ``reports/BENCH_settlement_<mode>.json``;
-the block-mode counters, histograms and ledger totals must reproduce the
-committed sync baseline exactly (``check_regression.py --settlement``).
-
-Usage:  PYTHONPATH=src python benchmarks/run_smoke.py [--chaos-seed N]
+Usage:  PYTHONPATH=src python benchmarks/run_smoke.py [--out DIR]
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import pathlib
 import shutil
 import sys
-import pathlib
 import tempfile
+from dataclasses import dataclass, field
+from typing import Callable
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
@@ -43,7 +40,7 @@ from repro.common.timing import time_call  # noqa: E402
 from repro.core import wire  # noqa: E402
 from repro.core.cloud import CloudServer  # noqa: E402
 from repro.core.owner import DataOwner  # noqa: E402
-from repro.core.params import KeyBundle  # noqa: E402
+from repro.core.params import KeyBundle, SlicerParams  # noqa: E402
 from repro.core.query import Query  # noqa: E402
 from repro.core.user import DataUser  # noqa: E402
 from repro.core.verify import verify_response  # noqa: E402
@@ -59,47 +56,192 @@ from repro.workloads.generator import (  # noqa: E402
     WorkloadSpec,
 )
 
+BASELINES = REPORT_DIR
+DEFAULT_OUT = REPORT_DIR / "fresh"
+
 N_RECORDS = 120
 N_INSERT = 30
 BITS = 8
 
-
-def _fresh_sink(filename: str) -> str:
-    """Truncate-and-return a JSONL sink path (sinks append per record)."""
-    REPORT_DIR.mkdir(exist_ok=True)
-    path = REPORT_DIR / filename
-    path.write_text("")
-    return str(path)
+#: Report keys a cell varies on purpose, so no baseline can pin them:
+#: settlement-block gates against the *sync* ledger.
+UNGATED = {"settlement.mode"}
 
 
-def _reset_observability(trace_file: str, audit_file: str | None = None) -> None:
-    """Cold registry/tracer/audit state plus fresh JSONL sinks for this run."""
+def _queries() -> list[Query]:
+    return [Query.parse(64, ">"), Query.parse(64, "<"), Query.parse(200, ">")]
+
+
+@dataclass
+class Setup:
+    params: SlicerParams
+    keys: KeyBundle
+    owner: DataOwner
+    generator: WorkloadGenerator
+
+
+def _setup(out: pathlib.Path, tag: str, audit: bool = False) -> Setup:
+    """Cold process state and JSONL sinks, plus the shared fixtures.
+
+    Every cell uses the same seeds for keys, owner and workload, so cells
+    that run the same protocol flow record the same deterministic work.
+    The kernel memos are process-global: left warm by an earlier cell,
+    they would turn its misses into hits in this cell's gated counters.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    kernels.clear_caches()
+
+    def sink(filename: str) -> str:
+        path = out / filename
+        path.write_text("")  # sinks append per record
+        return str(path)
+
     REGISTRY.reset()
     trace.TRACER.reset()
-    trace.TRACER.set_sink(_fresh_sink(trace_file))
+    trace.TRACER.set_sink(sink(f"TRACE_{tag}.jsonl"))
     obs_audit.AUDIT_LOG.reset()
-    obs_audit.AUDIT_LOG.set_sink(_fresh_sink(audit_file) if audit_file else None)
-
-
-def run_chaos(seed: int, profile_name: str) -> int:
-    """End-to-end chaos smoke: everything settles despite injected faults."""
-    _reset_observability("TRACE_chaos.jsonl", "AUDIT_chaos.jsonl")
+    obs_audit.AUDIT_LOG.set_sink(sink(f"AUDIT_{tag}.jsonl") if audit else None)
     params = bench_params(BITS)
     keys = KeyBundle.generate(default_rng(31337), 1024)
     owner = DataOwner(params, keys=keys, rng=default_rng(12))
-    transport = ChaosTransport(FaultPlan(profile_named(profile_name), seed))
-    system = SlicerSystem(params, rng=default_rng(5), owner=owner, transport=transport)
+    return Setup(params, keys, owner, WorkloadGenerator(default_rng(404)))
 
-    generator = WorkloadGenerator(default_rng(404))
+
+@dataclass
+class Report:
+    """One flow's fresh report: ``data`` is the JSON twin's body."""
+
+    name: str
+    title: str
+    data: dict
+    rows: list[tuple[str, str]] = field(default_factory=list)
+
+
+def _write(out: pathlib.Path, report: Report) -> dict:
+    """Render metrics (+ extra rows), write both twins, return the JSON."""
+    rows = [("Metric", "value")] + [
+        (k, f"{v:.4f}" if isinstance(v, float) else str(v))
+        for k, v in report.data["metrics"].items()
+    ] + report.rows
+    write_report(report.name, render_kv_table(report.title, rows), report.data, out)
+    return json.loads((out / f"BENCH_{report.name}.json").read_text())
+
+
+def plain(out: pathlib.Path, shards: int) -> Report:
+    """Build -> search -> warm repeat -> precompute -> insert -> search -> batch.
+
+    Behind ``shards > 1`` the same flow is served by a sharded
+    scatter/gather tier: it partitions protocol work without changing it,
+    so the recorded snapshot must equal the single-cloud baseline.
+    """
+    name = "smoke" if shards == 1 else f"smoke_{shards}shard"
+    s = _setup(out, name)
+    params, keys, owner = s.params, s.keys, s.owner
+    database = s.generator.database(WorkloadSpec(N_RECORDS, BITS))
+
+    if shards > 1:
+        owner.shard_plan = HashShardPlan(shards)
+        cloud = ShardedCloudFrontend(params, keys.trapdoor.public, owner.shard_plan)
+    else:
+        cloud = CloudServer(params, keys.trapdoor.public)
+
+    def install(package) -> None:
+        if shards > 1:
+            cloud.install_shards(package.shard_packages)
+        else:
+            cloud.install(package.cloud_package)
+
+    build_s, built = time_call(lambda: owner.build(database))
+    install(built)
+    user = DataUser(params, built.user_package, default_rng(5))
+
+    tokens = user.make_tokens(Query.parse(64, ">"))
+    search_s, response = time_call(lambda: cloud.search(tokens))
+    assert verify_response(params, cloud.ads_value, response).ok, "smoke search failed"
+
+    # Warm repeat: the epoch-suffix entry cache must serve the identical
+    # response (this is what puts cloud.entry_cache.{hit,spliced_entries}
+    # into the gated counter snapshot).
+    repeat_s, repeat = time_call(lambda: cloud.search(tokens))
+    assert wire.dump_response(repeat) == wire.dump_response(response), (
+        "warm repeat search drifted from the cold response"
+    )
+
+    precompute_s, count = time_call(cloud.precompute_witnesses)
+    assert count == cloud.prime_count
+
+    add = s.generator.database(WorkloadSpec(N_INSERT, BITS))
+    insert_s, inserted = time_call(lambda: owner.insert(add))
+    install(inserted)
+    user.refresh(inserted.user_package)
+
+    tokens2 = user.make_tokens(Query.parse(64, "<"))
+    search2_s, response2 = time_call(lambda: cloud.search(tokens2))
+    assert verify_response(params, cloud.ads_value, response2).ok, (
+        "post-insert smoke search failed"
+    )
+
+    # Batched collection over the union of both queries (one duplicated)
+    # must be byte-identical to sequential post-insert searches.  The
+    # pre-insert `response` is stale here (inserts change the ADS), so
+    # the reference is re-derived.
+    reference = cloud.search(tokens)
+    batch_s, batch = time_call(lambda: cloud.search_many([tokens, tokens2, tokens]))
+    assert [wire.dump_response(r) for r in batch] == [
+        wire.dump_response(r) for r in (reference, response2, reference)
+    ], "batched search drifted from per-query responses"
+
+    deterministic = REGISTRY.deterministic_snapshot()
+    metrics = {
+        "build_s": build_s,
+        "search_s": search_s,
+        "repeat_search_s": repeat_s,
+        "precompute_s": precompute_s,
+        "insert_s": insert_s,
+        "search_after_insert_s": search2_s,
+        "batch_search_s": batch_s,
+        "records": N_RECORDS,
+        "inserted": N_INSERT,
+        "value_bits": BITS,
+        "primes": cloud.prime_count,
+        "shards": shards,
+        "modmath_backend": modmath.backend_info()["active"],
+        "all_verified": True,
+    }
+    return Report(
+        name,
+        "CI smoke benchmark",
+        {
+            "metrics": metrics,
+            # Machine-independent: equal at any shard width and on any
+            # modmath backend.  Wall-clock `*_s` histograms are excluded.
+            "counters": deterministic["counters"],
+            "histograms": deterministic["histograms"],
+            "hit_rates": perfstats.rates(),
+        },
+    )
+
+
+def chaos(out: pathlib.Path, seed: int, profile: str) -> Report:
+    """The full four-party system behind a fault-injecting transport.
+
+    Every search must still settle paid while faults are demonstrably
+    injected; (profile, seed) pin the whole fault schedule, so the
+    ``chaos.*`` / ``retry.*`` / ``audit.*`` counters reproduce exactly.
+    """
+    s = _setup(out, "chaos", audit=True)
+    transport = ChaosTransport(FaultPlan(profile_named(profile), seed))
+    system = SlicerSystem(
+        s.params, rng=default_rng(5), owner=s.owner, transport=transport
+    )
     setup_s, _ = time_call(
-        lambda: system.setup(generator.database(WorkloadSpec(N_RECORDS, BITS)))
+        lambda: system.setup(s.generator.database(WorkloadSpec(N_RECORDS, BITS)))
     )
-    queries = [Query.parse(64, ">"), Query.parse(64, "<"), Query.parse(200, ">")]
-    outcomes = [system.search(q) for q in queries]
+    outcomes = [system.search(q) for q in _queries()]
     insert_s, _ = time_call(
-        lambda: system.insert(generator.database(WorkloadSpec(N_INSERT, BITS)))
+        lambda: system.insert(s.generator.database(WorkloadSpec(N_INSERT, BITS)))
     )
-    outcomes += [system.search(q) for q in queries]
+    outcomes += [system.search(q) for q in _queries()]
 
     for outcome in outcomes:
         assert outcome.error is None, f"chaos search degraded: {outcome.error}"
@@ -122,7 +264,7 @@ def run_chaos(seed: int, profile_name: str) -> int:
         if k.startswith(("chaos.", "retry.", "audit."))
     }
     injected = sum(v for k, v in counters.items() if k.startswith("chaos.injected."))
-    assert injected > 0, f"profile {profile_name!r} seed {seed} injected no faults"
+    assert injected > 0, f"profile {profile!r} seed {seed} injected no faults"
     assert counters.get("retry.gave_up", 0) == 0, "retry budget must suffice"
 
     metrics = {
@@ -138,64 +280,41 @@ def run_chaos(seed: int, profile_name: str) -> int:
         "audit_gas_total": obs_audit.AUDIT_LOG.totals()["gas_total"],
         "all_verified": True,
     }
-    rows = [("Metric", "value")] + [
-        (k, f"{v:.4f}" if isinstance(v, float) else str(v)) for k, v in metrics.items()
-    ] + [(k, str(v)) for k, v in sorted(counters.items())]
-    write_report(
+    return Report(
         "chaos",
-        render_kv_table(f"Chaos smoke ({profile_name}, seed {seed})", rows),
-        data={
-            # Seed + profile pin the whole fault schedule: a re-run with
-            # these values must reproduce `counters` exactly.
-            "chaos": {"seed": seed, "profile": profile_name},
+        f"Chaos smoke ({profile}, seed {seed})",
+        {
+            "chaos": {"seed": seed, "profile": profile},
             "metrics": metrics,
             "counters": counters,
-            "artifacts": {
-                "trace": "TRACE_chaos.jsonl",
-                "audit": "AUDIT_chaos.jsonl",
-            },
+            "artifacts": {"trace": "TRACE_chaos.jsonl", "audit": "AUDIT_chaos.jsonl"},
         },
+        [(k, str(v)) for k, v in sorted(counters.items())],
     )
-    return 0
 
 
-def run_settlement(mode: str) -> int:
-    """Full-system settlement smoke, settled synchronously or per-block.
+def settlement(out: pathlib.Path, mode: str) -> Report:
+    """Searches, an insert and more searches, settled sync or per-block.
 
-    Both modes run the identical protocol flow — searches, an insert, more
-    searches, through the full four-party :class:`SlicerSystem` — so the
-    deterministic counter snapshot and the settlement-ledger totals they
-    record must be bit-identical: block production moves *when* an escrow
-    settles, never what it pays or how much protocol work it takes.
-    (Batched searches are deliberately absent: sync batches settle through
-    one amortised ``batch_verify_and_settle`` receipt while block batches
-    settle per-escrow, a documented receipt-shape difference — see
-    ``bench_block_settlement.py`` for that flow.)
-
-    CI runs ``--settlement block`` and gates the recorded snapshot against
-    the committed ``BENCH_settlement_sync.json`` baseline via
-    ``check_regression.py --settlement``.
+    Block production moves *when* an escrow settles, never what it pays
+    or how much protocol work it takes, so both modes record identical
+    counters, histograms and ledger totals.  (Batches are absent on
+    purpose: sync batches settle through one amortised receipt, block
+    batches per escrow — see ``bench_block_settlement.py``.)
     """
-    _reset_observability(
-        f"TRACE_settlement_{mode}.jsonl", f"AUDIT_settlement_{mode}.jsonl"
-    )
-    params = bench_params(BITS)
-    keys = KeyBundle.generate(default_rng(31337), 1024)
-    owner = DataOwner(params, keys=keys, rng=default_rng(12))
+    tag = f"settlement_{mode}"
+    s = _setup(out, tag, audit=True)
     system = SlicerSystem(
-        params, rng=default_rng(5), owner=owner, settlement_mode=mode
+        s.params, rng=default_rng(5), owner=s.owner, settlement_mode=mode
     )
-
-    generator = WorkloadGenerator(default_rng(404))
     setup_s, _ = time_call(
-        lambda: system.setup(generator.database(WorkloadSpec(N_RECORDS, BITS)))
+        lambda: system.setup(s.generator.database(WorkloadSpec(N_RECORDS, BITS)))
     )
-    queries = [Query.parse(64, ">"), Query.parse(64, "<"), Query.parse(200, ">")]
-    search_s, outcomes = time_call(lambda: [system.search(q) for q in queries])
+    search_s, outcomes = time_call(lambda: [system.search(q) for q in _queries()])
     insert_s, _ = time_call(
-        lambda: system.insert(generator.database(WorkloadSpec(N_INSERT, BITS)))
+        lambda: system.insert(s.generator.database(WorkloadSpec(N_INSERT, BITS)))
     )
-    search2_s, more = time_call(lambda: [system.search(q) for q in queries])
+    search2_s, more = time_call(lambda: [system.search(q) for q in _queries()])
     outcomes += more
 
     for outcome in outcomes:
@@ -234,124 +353,93 @@ def run_settlement(mode: str) -> int:
         "light_client_proofs": proofs_checked,
         "all_verified": True,
     }
-    # Mode-invariant ledger facts: the settlement gate compares these
-    # (minus "mode") exactly against the committed sync baseline, alongside
-    # the counter/histogram snapshot.
-    settlement = {
+    ledger = {
         "mode": mode,
         "verdicts": totals["verdicts"],
         "gas_total": totals["gas_total"],
         "paid_out": totals["paid_out"],
         "refunded": totals["refunded"],
     }
-    rows = [("Metric", "value")] + [
-        (k, f"{v:.4f}" if isinstance(v, float) else str(v)) for k, v in metrics.items()
-    ] + [
-        ("ledger_gas_total", str(totals["gas_total"])),
-        ("ledger_paid_out", str(totals["paid_out"])),
-    ]
-    write_report(
-        f"settlement_{mode}",
-        render_kv_table(f"Settlement smoke ({mode} mode)", rows),
-        data={
-            "settlement": settlement,
+    return Report(
+        tag,
+        f"Settlement smoke ({mode} mode)",
+        {
+            "settlement": ledger,
             "metrics": metrics,
             "counters": deterministic["counters"],
             "histograms": deterministic["histograms"],
-            "artifacts": {
-                "trace": f"TRACE_settlement_{mode}.jsonl",
-                "audit": f"AUDIT_settlement_{mode}.jsonl",
-            },
+            "artifacts": {"trace": f"TRACE_{tag}.jsonl", "audit": f"AUDIT_{tag}.jsonl"},
         },
+        [
+            ("ledger_gas_total", str(totals["gas_total"])),
+            ("ledger_paid_out", str(totals["paid_out"])),
+        ],
     )
-    return 0
 
 
 def _deterministic_delta(base: dict) -> dict:
     """Counter delta since ``base``, filtered to the deterministic slice."""
     allowed = set(REGISTRY.deterministic_snapshot()["counters"])
-    return {
-        k: v for k, v in perfstats.delta_since(base).items() if k in allowed
-    }
+    return {k: v for k, v in perfstats.delta_since(base).items() if k in allowed}
 
 
-def run_restart() -> int:
-    """Warm-restart smoke: a reopened cloud serves its first repeat query warm.
+def restart(out: pathlib.Path) -> Report:
+    """A cloud reopened from its segment store serves its first repeat warm.
 
-    Runs the plain smoke flow against a durable segment store (build,
-    skewed searches, insert, more searches, witness precompute), records
-    the never-restarted cloud's warm repeat of the hot query as the
-    **oracle leg**, then checkpoints, clears every process-global kernel
-    memo (a cold process), reopens the store into a *fresh* CloudServer and
-    serves the same repeat query.  Byte-identity against the oracle leg is
-    asserted before any timing is reported, and the restarted leg must
-    touch neither the index nor the PRF:
-    ``cloud.collect.index_probes == cloud.collect.prf_evals == 0``.
-    ``check_regression.py --restart`` gates the recorded counters,
-    histograms and both leg deltas bit for bit.
+    The never-restarted cloud's warm repeat of the hot query is the
+    oracle leg.  Then the cloud checkpoints, every process-global kernel
+    memo is cleared (a cold process) and a *fresh* CloudServer reopens
+    the store and serves the same query: byte-identical to the oracle,
+    zero index probes, zero PRF evals — asserted before any timing.
     """
-    _reset_observability("TRACE_restart.jsonl")
-    params = bench_params(BITS)
-    keys = KeyBundle.generate(default_rng(31337), 1024)
-    generator = WorkloadGenerator(default_rng(404))
-    database = generator.database(WorkloadSpec(N_RECORDS, BITS))
-    owner = DataOwner(params, keys=keys, rng=default_rng(12))
+    s = _setup(out, "restart")
+    params, keys, owner = s.params, s.keys, s.owner
+    database = s.generator.database(WorkloadSpec(N_RECORDS, BITS))
 
     store_dir = tempfile.mkdtemp(prefix="slicer-segstore-")
     try:
         cloud = CloudServer(params, keys.trapdoor.public)
         cloud.attach_store(store_dir)
-        build_s, out = time_call(lambda: owner.build(database))
-        cloud.install(out.cloud_package)
-        user = DataUser(params, out.user_package, default_rng(5))
+        build_s, built = time_call(lambda: owner.build(database))
+        cloud.install(built.cloud_package)
+        user = DataUser(params, built.user_package, default_rng(5))
 
-        queries = [Query.parse(64, ">"), Query.parse(64, "<"), Query.parse(200, ">")]
+        queries = _queries()
         for query in queries:
             response = cloud.search(user.make_tokens(query))
             assert verify_response(params, cloud.ads_value, response).ok
 
-        add = generator.database(WorkloadSpec(N_INSERT, BITS))
-        insert_s, out2 = time_call(lambda: owner.insert(add))
-        cloud.install(out2.cloud_package)
-        user.refresh(out2.user_package)
+        add = s.generator.database(WorkloadSpec(N_INSERT, BITS))
+        insert_s, inserted = time_call(lambda: owner.insert(add))
+        cloud.install(inserted.cloud_package)
+        user.refresh(inserted.user_package)
 
-        # Zipf-ish skew: the hot query repeats, the tail runs once — what a
-        # production repeat-heavy workload leaves in the caches.
+        # Zipf-ish skew: the hot query repeats, the tail runs once.
         hot = user.make_tokens(queries[0])
         for tokens in [hot] + [user.make_tokens(q) for q in queries[1:]]:
             cloud.search(tokens)
         precompute_s, count = time_call(cloud.precompute_witnesses)
         assert count == cloud.prime_count
 
-        # Oracle leg: the never-restarted cloud's warm repeat, recorded
-        # BEFORE clear_caches() below (which also empties this cloud's
-        # entry cache through the kernel registry).
+        # Oracle leg, recorded BEFORE clear_caches() below (which also
+        # empties this cloud's entry cache through the kernel registry).
         base = perfstats.snapshot()
         oracle_warm_s, oracle_response = time_call(lambda: cloud.search(hot))
         oracle_delta = _deterministic_delta(base)
-        oracle_bytes = wire.dump_response(oracle_response)
 
         checkpoint_s, _ = time_call(cloud.checkpoint)
-        store_bytes = sum(
-            p.stat().st_size for p in pathlib.Path(store_dir).iterdir()
-        )
+        store_bytes = sum(p.stat().st_size for p in pathlib.Path(store_dir).iterdir())
 
-        # Process death: fresh server object, cold global kernel memos.
         kernels.clear_caches()
         resumed = CloudServer(params, keys.trapdoor.public)
-        # The timed reopen includes full rehydration (prime_count forces the
-        # lazy replay + warm-checkpoint load) so the measured leg below is
-        # purely the query.
-        reopen_s, _ = time_call(
-            lambda: (resumed.reopen(store_dir), resumed.prime_count)
-        )
+        # prime_count forces the lazy replay + warm-checkpoint load, so
+        # the measured leg below is purely the query.
+        reopen_s, _ = time_call(lambda: (resumed.reopen(store_dir), resumed.prime_count))
         base = perfstats.snapshot()
         restart_warm_s, response = time_call(lambda: resumed.search(hot))
         restart_delta = _deterministic_delta(base)
 
-        # Byte-identity and zero-probe assertions come before any timing
-        # is reported: a fast-but-wrong restart must fail the bench.
-        assert wire.dump_response(response) == oracle_bytes, (
+        assert wire.dump_response(response) == wire.dump_response(oracle_response), (
             "restarted cloud's warm leg drifted from the oracle response"
         )
         assert restart_delta.get("cloud.collect.index_probes", 0) == 0, (
@@ -367,6 +455,7 @@ def run_restart() -> int:
     finally:
         shutil.rmtree(store_dir, ignore_errors=True)
 
+    deterministic = REGISTRY.deterministic_snapshot()
     metrics = {
         "build_s": build_s,
         "insert_s": insert_s,
@@ -384,21 +473,13 @@ def run_restart() -> int:
         "modmath_backend": modmath.backend_info()["active"],
         "all_verified": True,
     }
-    rows = [("Metric", "value")] + [
-        (k, f"{v:.4f}" if isinstance(v, float) else str(v)) for k, v in metrics.items()
-    ]
-    deterministic = REGISTRY.deterministic_snapshot()
-    write_report(
+    return Report(
         "warm_restart",
-        render_kv_table("Warm-restart smoke benchmark", rows),
-        data={
+        "Warm-restart smoke benchmark",
+        {
             "metrics": metrics,
             "counters": deterministic["counters"],
             "histograms": deterministic["histograms"],
-            # The gated heart of the bench: the restarted cloud's first
-            # repeat-query leg did exactly the oracle's deterministic work
-            # — zero index probes, zero PRF evaluations, byte-identical
-            # response — and both deltas are reproduced exactly on re-run.
             "restart_leg": {
                 "byte_identical": True,
                 "index_probes": restart_delta.get("cloud.collect.index_probes", 0),
@@ -409,29 +490,19 @@ def run_restart() -> int:
             "artifacts": {"trace": "TRACE_restart.jsonl"},
         },
     )
-    return 0
 
 
-def run_range() -> int:
-    """Range-planner smoke: plan streams through the full system, gated.
+def range_plans(out: pathlib.Path) -> Report:
+    """Zipf-hot range and conjunctive plan streams through ``search_plans``.
 
-    Builds a two-attribute database, draws a Zipf-hot stream of range and
-    conjunctive plan expressions, and runs them through
-    :meth:`SlicerSystem.search_plans` — compile, one batched collection
-    over the leg union, per-leg escrow settlement, user-side intersection.
-    Every plan must verify and answer exactly its plaintext oracle, and the
-    ``planner.*`` counters (plans/legs compiled, token walks deduped,
-    record IDs dropped by intersection) land in the report for
-    ``check_regression.py --range`` to pin bit for bit.
+    Compile, one batched collection over the leg union, per-leg escrow
+    settlement, user-side intersection: every plan must verify and
+    answer exactly its plaintext oracle.  Planner work is a pure
+    function of the query stream, so ``planner.*`` reproduces exactly.
     """
-    _reset_observability("TRACE_range.jsonl", "AUDIT_range.jsonl")
-    params = bench_params(BITS)
-    keys = KeyBundle.generate(default_rng(31337), 1024)
-    owner = DataOwner(params, keys=keys, rng=default_rng(12))
-    system = SlicerSystem(params, rng=default_rng(5), owner=owner)
-
-    generator = WorkloadGenerator(default_rng(404))
-    database = generator.attributed_database(
+    s = _setup(out, "range", audit=True)
+    system = SlicerSystem(s.params, rng=default_rng(5), owner=s.owner)
+    database = s.generator.attributed_database(
         N_RECORDS,
         {"lat": WorkloadSpec(N_RECORDS, BITS), "lon": WorkloadSpec(N_RECORDS, BITS)},
     )
@@ -445,7 +516,7 @@ def run_range() -> int:
     search_s = 0.0
     n_plans = 0
     for label, workload in streams:
-        exprs = generator.range_plans(8, BITS, workload, attributes=["lat", "lon"])
+        exprs = s.generator.range_plans(8, BITS, workload, attributes=["lat", "lon"])
         leg_s, outcomes = time_call(lambda exprs=exprs: system.search_plans(exprs))
         search_s += leg_s
         n_plans += len(outcomes)
@@ -466,16 +537,13 @@ def run_range() -> int:
 
     deterministic = REGISTRY.deterministic_snapshot()
     planner = {
-        k: v
-        for k, v in deterministic["counters"].items()
-        if k.startswith("planner.")
+        k: v for k, v in deterministic["counters"].items() if k.startswith("planner.")
     }
     assert planner.get("planner.plans") == n_plans
     assert planner.get("planner.dedup_saved", 0) > 0, (
         "the Zipf-hot plan pool must repeat legs for the planner to dedup"
     )
 
-    totals = obs_audit.AUDIT_LOG.totals()
     metrics = {
         "setup_s": setup_s,
         "search_plans_s": search_s,
@@ -483,187 +551,119 @@ def run_range() -> int:
         "records": N_RECORDS,
         "value_bits": BITS,
         "modmath_backend": modmath.backend_info()["active"],
-        "audit_records": totals["records"],
+        "audit_records": obs_audit.AUDIT_LOG.totals()["records"],
         "all_verified": True,
     }
-    rows = [("Metric", "value")] + [
-        (k, f"{v:.4f}" if isinstance(v, float) else str(v)) for k, v in metrics.items()
-    ] + [(k, str(v)) for k, v in sorted(planner.items())]
-    write_report(
+    return Report(
         "range",
-        render_kv_table("Range-planner smoke benchmark", rows),
-        data={
+        "Range-planner smoke benchmark",
+        {
             "metrics": metrics,
             "streams": plan_rows,
-            # The gated heart of the bench: planner work is a pure function
-            # of the query stream, so these reproduce exactly on re-run.
             "planner": planner,
             "counters": deterministic["counters"],
             "histograms": deterministic["histograms"],
-            "artifacts": {
-                "trace": "TRACE_range.jsonl",
-                "audit": "AUDIT_range.jsonl",
-            },
+            "artifacts": {"trace": "TRACE_range.jsonl", "audit": "AUDIT_range.jsonl"},
         },
+        [(k, str(v)) for k, v in sorted(planner.items())],
     )
-    return 0
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One scenario: a flow, its fixed arguments and what it must reproduce."""
+
+    name: str
+    flow: Callable[..., Report]
+    args: dict
+    baseline: str
+    sections: tuple[str, ...]
+
+
+_EXACT = ("counters", "histograms")
+
+CELLS = (
+    Cell("plain", plain, {"shards": 1}, "BENCH_smoke.json", _EXACT),
+    Cell("plain-4shard", plain, {"shards": 4}, "BENCH_smoke.json", _EXACT),
+    Cell(
+        "chaos",
+        chaos,
+        {"seed": 7, "profile": "lossy"},
+        "BENCH_chaos.json",
+        ("chaos", "counters"),
+    ),
+    Cell(
+        "settlement-sync",
+        settlement,
+        {"mode": "sync"},
+        "BENCH_settlement_sync.json",
+        _EXACT + ("settlement",),
+    ),
+    Cell(
+        "settlement-block",
+        settlement,
+        {"mode": "block"},
+        "BENCH_settlement_sync.json",
+        _EXACT + ("settlement",),
+    ),
+    Cell("restart", restart, {}, "BENCH_warm_restart.json", _EXACT + ("restart_leg",)),
+    Cell("range", range_plans, {}, "BENCH_range.json", ("planner",) + _EXACT),
+)
+
+
+def _drift(baseline: dict, fresh: dict, sections: tuple[str, ...]) -> list[str]:
+    """Every ``section.key`` whose value differs (or exists on one side only)."""
+    drifted = []
+    for section in sections:
+        base, now = baseline.get(section, {}), fresh.get(section, {})
+        drifted += sorted(
+            f"{section}.{key}"
+            for key in set(base) | set(now)
+            if base.get(key) != now.get(key) and f"{section}.{key}" not in UNGATED
+        )
+    return drifted
+
+
+def gate(name: str, out: pathlib.Path = DEFAULT_OUT) -> list[str]:
+    """Run one cell, write its fresh report under ``out``, return its drift."""
+    cell = next(c for c in CELLS if c.name == name)
+    # Read first: with --out pointing at the baselines, the run rewrites it.
+    baseline = json.loads((BASELINES / cell.baseline).read_text())
+    fresh = _write(out, cell.flow(out, **cell.args))
+    return _drift(baseline, fresh, cell.sections)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--chaos-seed",
-        type=lambda s: int(s, 0),
-        default=None,
-        help="run the chaos smoke with this fault-schedule seed instead",
+        "--out",
+        type=pathlib.Path,
+        default=DEFAULT_OUT,
+        help="directory for fresh reports, traces and audit logs "
+        "(default: benchmarks/reports/fresh; pass benchmarks/reports to "
+        "regenerate the committed baselines on purpose)",
     )
-    parser.add_argument(
-        "--chaos-profile",
-        default="lossy",
-        help="fault profile for --chaos-seed runs (default: lossy)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="serve through a sharded scatter/gather tier of this width; the "
-        "recorded counters must equal the single-cloud baseline (the tier "
-        "partitions protocol work, it never changes it)",
-    )
-    parser.add_argument(
-        "--settlement",
-        choices=("sync", "block"),
-        default=None,
-        help="run the full-system settlement smoke in this mode instead; "
-        "block mode must reproduce the sync snapshot bit for bit "
-        "(check_regression.py --settlement gates on it)",
-    )
-    parser.add_argument(
-        "--restart",
-        action="store_true",
-        help="run the warm-restart smoke instead: install through a durable "
-        "segment store, checkpoint, reopen into a fresh process and serve "
-        "the first repeat query warm (0 index probes, 0 PRF evals, "
-        "byte-identical to the never-restarted oracle)",
-    )
-    parser.add_argument(
-        "--range",
-        dest="range_planner",
-        action="store_true",
-        help="run the range-planner smoke instead: Zipf-hot range/"
-        "conjunctive plan streams through SlicerSystem.search_plans, every "
-        "plan verified against the plaintext oracle and the planner.* "
-        "counters recorded (check_regression.py --range gates on them)",
-    )
-    args = parser.parse_args(argv)
-    if args.chaos_seed is not None:
-        return run_chaos(args.chaos_seed, args.chaos_profile)
-    if args.settlement is not None:
-        return run_settlement(args.settlement)
-    if args.restart:
-        return run_restart()
-    if args.range_planner:
-        return run_range()
-    return run_plain(args.shards)
+    out = parser.parse_args(argv).out.resolve()
 
-
-def run_plain(shards: int = 1) -> int:
-    _reset_observability("TRACE_smoke.jsonl")  # clean slate for the gate
-    params = bench_params(BITS)
-    keys = KeyBundle.generate(default_rng(31337), 1024)
-    generator = WorkloadGenerator(default_rng(404))
-    database = generator.database(WorkloadSpec(N_RECORDS, BITS))
-
-    owner = DataOwner(params, keys=keys, rng=default_rng(12))
-    if shards > 1:
-        # The sharded serving tier duck-types the CloudServer surface; the
-        # rest of this function is width-blind, and the deterministic
-        # counter snapshot it records must match the N=1 baseline exactly.
-        owner.shard_plan = HashShardPlan(shards)
-        build_s, out = time_call(lambda: owner.build(database))
-        cloud = ShardedCloudFrontend(params, keys.trapdoor.public, owner.shard_plan)
-        cloud.install_shards(out.shard_packages)
-    else:
-        build_s, out = time_call(lambda: owner.build(database))
-        cloud = CloudServer(params, keys.trapdoor.public)
-        cloud.install(out.cloud_package)
-    user = DataUser(params, out.user_package, default_rng(5))
-
-    tokens = user.make_tokens(Query.parse(64, ">"))
-    search_s, response = time_call(lambda: cloud.search(tokens))
-    assert verify_response(params, cloud.ads_value, response).ok, "smoke search failed"
-
-    # Warm repeat: the epoch-suffix entry cache must serve the identical
-    # response (this is what puts cloud.entry_cache.{hit,spliced_entries}
-    # into the gated counter snapshot).
-    repeat_s, repeat = time_call(lambda: cloud.search(tokens))
-    assert wire.dump_response(repeat) == wire.dump_response(response), (
-        "warm repeat search drifted from the cold response"
-    )
-
-    precompute_s, count = time_call(cloud.precompute_witnesses)
-    assert count == cloud.prime_count
-
-    add = generator.database(WorkloadSpec(N_INSERT, BITS))
-    insert_s, out2 = time_call(lambda: owner.insert(add))
-    if shards > 1:
-        cloud.install_shards(out2.shard_packages)
-    else:
-        cloud.install(out2.cloud_package)
-    user.refresh(out2.user_package)
-
-    tokens2 = user.make_tokens(Query.parse(64, "<"))
-    search2_s, response2 = time_call(lambda: cloud.search(tokens2))
-    assert verify_response(params, cloud.ads_value, response2).ok, "post-insert smoke search failed"
-
-    # Batched collection over the union of both queries (one duplicated):
-    # per-query responses must be byte-identical to sequential post-insert
-    # searches, and the batch.{unique_tokens,dedup_saved} counters get gated.
-    # (The pre-insert `response` is stale here: inserts change the ADS, so
-    # witnesses for the same entries differ — re-derive the reference.)
-    reference = cloud.search(tokens)
-    batch_s, batch = time_call(lambda: cloud.search_many([tokens, tokens2, tokens]))
-    assert [wire.dump_response(r) for r in batch] == [
-        wire.dump_response(reference),
-        wire.dump_response(response2),
-        wire.dump_response(reference),
-    ], "batched search drifted from per-query responses"
-
-    metrics = {
-        "build_s": build_s,
-        "search_s": search_s,
-        "repeat_search_s": repeat_s,
-        "precompute_s": precompute_s,
-        "insert_s": insert_s,
-        "search_after_insert_s": search2_s,
-        "batch_search_s": batch_s,
-        "records": N_RECORDS,
-        "inserted": N_INSERT,
-        "value_bits": BITS,
-        "primes": cloud.prime_count,
-        "shards": shards,
-        "modmath_backend": modmath.backend_info()["active"],
-        "all_verified": True,
-    }
-    rows = [("Metric", "value")] + [
-        (k, f"{v:.4f}" if isinstance(v, float) else str(v)) for k, v in metrics.items()
-    ]
-    deterministic = REGISTRY.deterministic_snapshot()
-    write_report(
-        "smoke",
-        render_kv_table("CI smoke benchmark", rows),
-        data={
-            "metrics": metrics,
-            # Machine-independent kernel counters: the regression gate
-            # compares these exactly, at any shard width and on any
-            # modmath backend.
-            "counters": deterministic["counters"],
-            # Value-deterministic histograms (gas, token/result sizes);
-            # wall-clock `*_s` histograms are already excluded.
-            "histograms": deterministic["histograms"],
-            "hit_rates": perfstats.rates(),
-        },
-    )
+    summary = {}
+    for cell in CELLS:
+        drifted = gate(cell.name, out)
+        summary[cell.name] = {
+            "baseline": cell.baseline,
+            "sections": list(cell.sections),
+            "drifted": drifted,
+        }
+    for name, row in summary.items():
+        compared = f"{', '.join(row['sections'])} vs {row['baseline']}"
+        print(f"{name:<17} {'DRIFTED' if row['drifted'] else 'ok':<8} {compared}")
+        for key in row["drifted"]:
+            print(f"    {key}")
+    (out / "smoke_check.json").write_text(json.dumps(summary, indent=2) + "\n")
+    failed = [name for name, row in summary.items() if row["drifted"]]
+    if failed:
+        print(f"\nFAIL: {', '.join(failed)} drifted from the committed baselines")
+        return 1
+    print(f"\nOK: all {len(CELLS)} cells reproduce the committed baselines exactly")
     return 0
 
 
