@@ -30,6 +30,9 @@ from repro.crypto.accumulator import AccumulatorParams
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
 
 REPORT_DIR = pathlib.Path(__file__).resolve().parent / "reports"
+#: Where runs write by default: git-ignored, so a sweep at any scale never
+#: rewrites a committed report.  Refreshing one is a deliberate copy.
+FRESH_DIR = REPORT_DIR / "fresh"
 
 
 def bench_params(bits: int) -> SlicerParams:
@@ -128,7 +131,7 @@ def touch_benchmark(benchmark) -> None:
 
 
 def write_report(
-    name: str, text: str, data: dict | None = None, out: pathlib.Path = REPORT_DIR
+    name: str, text: str, data: dict | None = None, out: pathlib.Path = FRESH_DIR
 ) -> None:
     """Persist a rendered figure/table under ``out`` and echo it to stdout.
 

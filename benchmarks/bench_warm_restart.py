@@ -1,8 +1,8 @@
 """Extension bench — durable segment store and warm restart.
 
 Quantifies what the epoch-segment store buys a restarted cloud: reopen
-replays the committed segments and rehydrates the witness, trapdoor-chain
-and entry caches from the warm checkpoint, so the first repeat query after
+replays the committed segments and rehydrates the witness map, the
+trapdoor-chain memo and the entry cache from the warm checkpoint, so the first repeat query after
 a restart runs at cache speed instead of paying a full cold walk plus
 witness exponentiation.  Byte-identity against the never-restarted cloud
 is asserted *before* any timing is recorded — a fast wrong answer is not a
@@ -70,7 +70,7 @@ def test_restart_cold_first_query(benchmark, deployment):
 
 def test_restart_live_warm_query(benchmark, deployment):
     _, _, cloud, _, hot = deployment
-    for _ in range(HOT_REPEATS):  # warm the repeat-witness and entry caches
+    for _ in range(HOT_REPEATS):  # warm the entry cache, check the served witnesses
         cloud.search(hot)
 
     elapsed, response = time_call(lambda: cloud.search(hot))

@@ -31,7 +31,7 @@ from typing import Callable
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
-from _harness import REPORT_DIR, bench_params, write_report  # noqa: E402
+from _harness import FRESH_DIR, REPORT_DIR, bench_params, write_report  # noqa: E402
 from repro.analysis.reporting import render_kv_table  # noqa: E402
 from repro.chaos import ChaosTransport, FaultPlan, profile_named  # noqa: E402
 from repro.common import perfstats  # noqa: E402
@@ -57,7 +57,7 @@ from repro.workloads.generator import (  # noqa: E402
 )
 
 BASELINES = REPORT_DIR
-DEFAULT_OUT = REPORT_DIR / "fresh"
+DEFAULT_OUT = FRESH_DIR
 
 N_RECORDS = 120
 N_INSERT = 30

@@ -99,17 +99,12 @@ class CloudServer:
         self._product_tree = ProductTree()
         self.ads_value = 0
         self._hash_to_prime = params.hash_to_prime()
-        #: Owner-issued witnesses under the current ``Ac`` (see
-        #: :meth:`install`); each is checked per item before its first use.
-        self._owner_witnesses: dict[int, int] = {}
-        self._owner_checked: set[int] = set()
-        #: Cloud-computed witnesses for the precompute scope's primes the
-        #: owner did not cover; None until :meth:`precompute_witnesses`.
-        self._witness_cache: dict[int, int] | None = None
-        self._witness_scope: dict[int, None] = {}
-        #: Repeat-search witness memo: token-subset tuple -> witness map.
-        #: Valid only for the current prime set, so :meth:`install` clears it.
-        self._repeat_witness_cache: dict[tuple[int, ...], dict[int, int]] = {}
+        #: Ready witnesses, valid for exactly the current ``Ac``: owner-issued
+        #: (:meth:`install`) or cloud-computed (:meth:`precompute_witnesses`,
+        #: warm checkpoint).  ``_checked`` holds the primes whose witness
+        #: passed a check; an owner witness is checked before its first use.
+        self._witnesses: dict[int, int] = {}
+        self._checked: set[int] = set()
         #: Epoch-suffix result cache: needs no invalidation (epochs are
         #: immutable, :meth:`install` leaves it intact); :meth:`restore`
         #: keeps it only when the incoming snapshot provably matches it.
@@ -131,22 +126,17 @@ class CloudServer:
     def install(self, package: CloudPackage, witness_primes: list[int] | None = None) -> None:
         """Receive ``(I, X, Ac)`` from the owner (Build or Insert delta).
 
-        Owner-issued witnesses in the package replace the previous set; an
-        install that moves ``Ac`` without them drops the stale ones, and
-        those primes fall back to the cloud-side ``MemWit``.  When a
-        precompute is active and the prime set changed, the cache is
-        refilled for every scope prime the owner did not cover — nothing
-        when the package covers them all.
+        An install that moves ``Ac`` empties the witness map; the package's
+        owner-issued witnesses, if any, fill it again.  Primes left
+        uncovered are served by the cloud-side ``MemWit`` per query until a
+        :meth:`precompute_witnesses` covers them.
 
-        ``witness_primes`` restricts which of the delta's primes join the
-        precompute scope (a shard covers its *local* keywords' primes
-        only); the full delta still enters ``X`` and the product tree, so
-        witness *values* are unchanged — only coverage shrinks.
+        ``witness_primes`` names the delta's primes this cloud owns (a
+        shard's *local* keywords); the segment store records them so a
+        reopened sharded tier can rebuild its routing bookkeeping.
 
         With a segment store attached the delta is also committed as one
-        immutable segment (without witnesses) *before* any cache refill — a
-        crash mid-refill loses only in-memory acceleration, never the
-        installed epoch.
+        immutable segment (without witnesses).
         """
         self._ensure_hydrated()
         moved = package.accumulation != self.ads_value
@@ -166,16 +156,11 @@ class CloudServer:
             if witness_primes is not None:
                 for prime in witness_primes:
                     self._store_local_primes[prime] = None
-        if package.witnesses is not None or moved:
-            self._owner_witnesses = dict(package.witnesses or {})
-            self._owner_checked = set()
-        if fresh:
-            # The prime set changed; per-query witness maps are stale.
-            self._repeat_witness_cache.clear()
-            if self._witness_cache is not None:
-                wanted = fresh if witness_primes is None else set(witness_primes)
-                scope = list(self._witness_scope) + [p for p in fresh if p in wanted]
-                self.precompute_witnesses(scope)
+        if moved:
+            self._witnesses, self._checked = {}, set()
+        if package.witnesses:
+            self._witnesses.update(package.witnesses)
+            self._checked.difference_update(package.witnesses)
 
     def precompute_witnesses(self, primes: list[int] | None = None) -> int:
         """Have a witness ready for every accumulated prime.
@@ -183,10 +168,10 @@ class CloudServer:
         Primes with an owner-issued witness are already covered; the rest
         get cloud-side witnesses by one root-factor batch (``O(k log k)``
         exponentiations for ``k`` uncovered primes), traded for
-        near-zero VO-generation latency per query.  Later :meth:`install`
-        calls keep the scope covered.  Returns the number of covered primes.
+        near-zero VO-generation latency per query until ``Ac`` moves.
+        Returns the number of covered primes.
 
-        ``primes`` restricts the scope to a subset of the accumulated set (a
+        ``primes`` restricts the batch to a subset of the accumulated set (a
         shard precomputes its local keywords only).  Witnesses are
         full-product values whichever subset is computed, so per-shard
         precomputes across a tier partition the single-cloud one exactly.
@@ -196,11 +181,10 @@ class CloudServer:
             subset = list(self._primes)
         else:
             subset = [p for p in primes if p in self._primes]
-        self._witness_scope = dict.fromkeys(subset)
-        self._witness_cache = self._root_witnesses(
-            [p for p in subset if p not in self._owner_witnesses]
-        )
-        self._check_witness_cache()
+        computed = self._root_witnesses([p for p in subset if p not in self._witnesses])
+        self._self_check(computed)
+        self._witnesses.update(computed)
+        self._checked.update(computed)
         return len(subset)
 
     def _root_witnesses(self, subset: list[int]) -> dict[int, int]:
@@ -222,23 +206,23 @@ class CloudServer:
             )
         return root_factor(base, subset, acc.modulus)
 
-    def _check_witness_cache(self) -> None:
-        """Batch self-check of the locally computed witness cache.
+    def _self_check(self, witnesses: dict[int, int]) -> None:
+        """Batch self-check of cloud-computed (or checkpointed) witnesses.
 
         One trusted-batch multi-exponentiation asserts ``w_p^p == Ac`` over
-        the whole cache.  The witnesses are the cloud's own output, so the
+        the whole batch.  The witnesses are the cloud's own output, so the
         batch kernel's trusted-input precondition holds (there is no
         adversary choosing them); a reject means an implementation bug —
-        e.g. a cache that outlived its ``Ac`` — and is raised, never served.
+        e.g. a witness that outlived its ``Ac`` — and is raised, never served.
         """
-        if not self._witness_cache or not kernels.kernels_enabled():
+        if not witnesses or not kernels.kernels_enabled():
             return
-        items = [(p, MembershipWitness(w)) for p, w in self._witness_cache.items()]
+        items = [(p, MembershipWitness(w)) for p, w in witnesses.items()]
         verdicts = verify_membership_batch(
             self.params.accumulator, self.ads_value, items, trusted=True
         )
         if not all(verdicts):
-            raise AccumulatorError("witness cache failed accumulator self-check")
+            raise AccumulatorError("witness map failed accumulator self-check")
         perfstats.incr("cloud.witness_cache.selfcheck")
 
     def snapshot(self) -> bytes:
@@ -286,32 +270,12 @@ class CloudServer:
             == segment_store.primes_digest(self._primes)
         )
         keep_entries = keep_witness and index.entries == self.index.entries
-        kept = (
-            (
-                self._witness_cache,
-                self._witness_scope,
-                self._repeat_witness_cache,
-                self._owner_witnesses,
-                self._owner_checked,
-            )
-            if keep_witness
-            else (None, {}, {}, {}, set())
-        )
+        kept = (self._witnesses, self._checked) if keep_witness else ({}, set())
         entry_cache = self._entry_cache if keep_entries else EntryCache()
         self._reset_state()
         self._entry_cache = entry_cache
         self.install(CloudPackage(index, list(primes), ads_value))
-        # install() treats every snapshot prime as fresh and clears the
-        # repeat memo; reassign the validated caches after it ran.
-        (
-            self._witness_cache,
-            self._witness_scope,
-            self._repeat_witness_cache,
-            self._owner_witnesses,
-            self._owner_checked,
-        ) = kept
-        if self._witness_cache is not None:
-            self._check_witness_cache()
+        self._witnesses, self._checked = kept
         perfstats.incr(
             "cloud.restore.caches_kept" if keep_witness else "cloud.restore.caches_dropped"
         )
@@ -345,9 +309,9 @@ class CloudServer:
         truncated, interior corruption refused, plan mismatch refused) and
         ``Ac`` is immediately served from it; segments replay **lazily** on
         the first state access, and the warm checkpoint — when its stamps
-        match the replayed state — rehydrates the entry cache, witness
-        cache, repeat-witness memo and kernel memos, so the first repeat
-        query runs at cache speed with byte-identical output.
+        match the replayed state — rehydrates the entry cache, the witness
+        map and the kernel memos, so the first repeat query runs at cache
+        speed with byte-identical output.
 
         With no ``path`` the currently attached store's directory is reused
         (the chaos layer's in-place crash-restart hook).
@@ -377,11 +341,8 @@ class CloudServer:
         self._primes = {}
         self._product_tree = ProductTree()
         self.ads_value = 0
-        self._owner_witnesses = {}
-        self._owner_checked = set()
-        self._witness_cache = None
-        self._witness_scope = {}
-        self._repeat_witness_cache = {}
+        self._witnesses = {}
+        self._checked = set()
 
     def checkpoint(self) -> None:
         """Persist the warm-restart checkpoint (caches + kernel memo slices).
@@ -395,16 +356,13 @@ class CloudServer:
         if self._store is None:
             raise StateError("no segment store attached; call attach_store() first")
         self._ensure_hydrated()
-        witness_cache = self._witness_cache
-        if witness_cache is not None:
-            # Persist the whole precompute scope's coverage: owner witnesses
-            # go in only after their per-item check, so the checkpoint holds
-            # nothing the cloud would not serve.
-            witness_cache = {
-                prime: witness
-                for prime in self._witness_scope
-                if (witness := self._lookup_witness(prime)) is not None
-            }
+        # Owner witnesses go in only after their per-item check, so the
+        # checkpoint holds nothing the cloud would not serve.
+        witnesses = {
+            prime: witness
+            for prime in list(self._witnesses)
+            if (witness := self._lookup_witness(prime)) is not None
+        }
         blob = segment_store.pack_warm_state(
             self.ads_value,
             segment_store.primes_digest(self._primes),
@@ -413,8 +371,7 @@ class CloudServer:
                 (key, (node.entries, node.suffix_hash, node.next_trapdoor))
                 for key, node in self._entry_cache.nodes.items()
             ],
-            witness_cache,
-            self._repeat_witness_cache,
+            witnesses,
             kernels.trapdoor_chain_items(self.trapdoor_public),
             kernels.hash_memo_items(self.params.prime_bits),
         )
@@ -460,17 +417,13 @@ class CloudServer:
             warm.ads_value != self.ads_value
             or warm.primes_digest != segment_store.primes_digest(self._primes)
         ):
-            # The checkpoint predates later installs: witnesses (and the
-            # repeat memo) would be stale.  Cold rebuild, correct answers.
+            # The checkpoint predates later installs: its witnesses would be
+            # stale.  Cold rebuild, correct answers.
             perfstats.incr("segstore.warm.stale")
             return
-        if warm.witness_cache is not None:
-            # The checkpoint holds the scope's checked owner witnesses next
-            # to the cloud-computed ones; all of them now form the cache.
-            self._witness_cache = dict(warm.witness_cache)
-            self._witness_scope = dict.fromkeys(self._witness_cache)
-            self._check_witness_cache()
-        self._repeat_witness_cache = dict(warm.repeat_cache)
+        self._self_check(warm.witnesses)
+        self._witnesses = dict(warm.witnesses)
+        self._checked = set(warm.witnesses)
         if warm.index_digest == segment_store.index_digest(self.index.entries):
             for key, (entries, suffix_hash, next_trapdoor) in warm.entry_nodes:
                 self._entry_cache.install(
@@ -504,7 +457,7 @@ class CloudServer:
         carries one ``TokenResult`` per submitted token, byte-identical to
         the undeduplicated walk.
 
-        Witnesses are looked up first (owner-issued, then precomputed);
+        Ready witnesses (owner-issued or precomputed) are looked up first;
         the rest are batched: those tokens share the
         ``g^{prod(X \\ subset)}`` base and the per-token witnesses are filled
         in by root-factor recursion over the (small) subset.  One query costs
@@ -632,9 +585,9 @@ class CloudServer:
     ) -> list[MembershipWitness]:
         """``MemWit`` for every token of one query.
 
-        Each prime is looked up first among the owner-issued witnesses,
-        then in the precomputed cache; the primes neither covers share one
-        cloud-side batch (:meth:`_subset_witnesses`).
+        Each prime is looked up first among the ready witnesses; the
+        accumulated primes it does not cover share one live cloud-side
+        ``MemWit`` batch (:meth:`_root_witnesses`), recomputed per query.
 
         If a derived prime is not in the stored set — which happens when the
         cloud's index is out of sync with the owner's updates (a "lazy"
@@ -653,7 +606,7 @@ class CloudServer:
                 if found is not None:
                     witness_by_prime[prime] = found
         missing = sorted({p for p in primes if p in self._primes and p not in witness_by_prime})
-        witness_by_prime.update(self._subset_witnesses(tuple(missing)))
+        witness_by_prime.update(self._root_witnesses(missing))
 
         fallback: int | None = None
         out: list[MembershipWitness] = []
@@ -672,49 +625,24 @@ class CloudServer:
         return out
 
     def _lookup_witness(self, prime: int) -> int | None:
-        """A ready witness for ``prime``: owner-issued, else precomputed.
+        """The ready witness for ``prime``, or None.
 
         An owner witness is served only after it passed the contract's own
         per-item ``VerifyMem`` against the current ``Ac`` (once per install);
         one that fails is counted, discarded and never served.
         """
-        owner = self._owner_witnesses.get(prime)
-        if owner is not None:
-            if prime in self._owner_checked:
-                return owner
-            if verify_membership(
-                self.params.accumulator, self.ads_value, prime, MembershipWitness(owner)
-            ):
-                perfstats.incr("cloud.owner_witness.checked")
-                self._owner_checked.add(prime)
-                return owner
-            perfstats.incr("cloud.owner_witness.rejected")
-            del self._owner_witnesses[prime]
-        if self._witness_cache is not None:
-            return self._witness_cache.get(prime)
+        witness = self._witnesses.get(prime)
+        if witness is None or prime in self._checked:
+            return witness
+        if verify_membership(
+            self.params.accumulator, self.ads_value, prime, MembershipWitness(witness)
+        ):
+            perfstats.incr("cloud.owner_witness.checked")
+            self._checked.add(prime)
+            return witness
+        perfstats.incr("cloud.owner_witness.rejected")
+        del self._witnesses[prime]
         return None
-
-    def _subset_witnesses(self, subset: tuple[int, ...]) -> dict[int, int]:
-        """Witness map for one query's prime subset, memoized per prime set.
-
-        A repeat search derives the same primes, hence the same subset, so
-        its (dominant) full-product base exponentiation and root-factor
-        recursion are served from the memo; :meth:`install` clears it when
-        the prime set changes.
-        """
-        if not subset:
-            return {}
-        cached = self._repeat_witness_cache.get(subset)
-        if cached is not None:
-            perfstats.incr("cloud.repeat_witness.hit")
-            return cached
-        perfstats.incr("cloud.repeat_witness.miss")
-        witnesses = self._root_witnesses(list(subset))
-        if kernels.kernels_enabled():
-            if len(self._repeat_witness_cache) >= 256:
-                del self._repeat_witness_cache[next(iter(self._repeat_witness_cache))]
-            self._repeat_witness_cache[subset] = witnesses
-        return witnesses
 
 
 class Misbehavior(enum.Enum):

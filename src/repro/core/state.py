@@ -147,8 +147,12 @@ class CloudPackage:
     witnesses: dict[int, int] | None = None
 
     def without_witnesses(self) -> "CloudPackage":
-        """The same install without owner witnesses (the paper's cloud-side
-        ``MemWit`` path, as after any wire hop)."""
+        """The same install without owner witnesses.
+
+        The cloud then serves every query with the paper's live ``MemWit``
+        (as after any wire hop) until a ``precompute_witnesses`` covers
+        the primes; an install that moves ``Ac`` empties what it held.
+        """
         return CloudPackage(self.index, self.primes, self.accumulation)
 
     @property

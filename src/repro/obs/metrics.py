@@ -177,7 +177,6 @@ class MetricsRegistry:
             "modmath.backend.",
             "wnaf.",
             "shard.",
-            "cloud.repeat_witness.",
             "cloud.witness_cache.selfcheck",
             "cloud.owner_witness.",
             "fixed_base.",
@@ -200,10 +199,10 @@ class MetricsRegistry:
         the pure-python backend, so its activity is backend-shaped too).
         Topology-shaped counters are excluded the same way: ``shard.*``
         (routing/scatter bookkeeping only exists on a sharded tier),
-        ``cloud.repeat_witness.*``, the witness-cache self-check,
+        the witness self-check (``cloud.witness_cache.selfcheck``),
         ``cloud.owner_witness.*`` (owner witnesses reach a cloud only on
-        direct in-process installs, never after a wire hop, restore or
-        segment replay), ``fixed_base.*``, the owner's ``comb.*`` tables
+        direct in-process installs, never after a wire hop),
+        ``fixed_base.*``, the owner's ``comb.*`` tables
         and the whole ``multi_exp.*`` /
         ``batch_verify.*`` families all count *per-serving-instance* events —
         N shards each derive their own witness bases and self-check their

@@ -159,7 +159,6 @@ def render_block_settlements(records) -> list[str]:
 #: finding ("n/a" hit rate), invisible if rows only appear on activity.
 KNOWN_CACHES = (
     "cloud.entry_cache",
-    "cloud.repeat_witness",
     "hash_to_prime",
     "trapdoor_chain",
 )

@@ -8,7 +8,7 @@ search is
 
 1. **scatter** — tokens are routed per shard by the plan (``G1`` hash);
 2. **serve** — each shard runs the ordinary Algorithm 4 over its slice
-   (its own trapdoor-chain walks, entry cache and witness cache);
+   (its own trapdoor-chain walks, entry cache and witness map);
 3. **gather/merge** — partial responses are reassembled in the original
    token order.
 
@@ -79,7 +79,7 @@ class ShardedCloudFrontend:
         self.transport = transport
         self.retry = retry or RetryPolicy()
         #: Which accumulated primes each shard's keywords own (the set its
-        #: witness cache covers); grows with every installed delta.
+        #: per-shard precompute covers); grows with every installed delta.
         self._local_primes: list[dict[int, None]] = [{} for _ in shard_servers]
         #: Per-shard durable snapshots for chaos crash-restart.
         self._snapshots: list[bytes | None] = [None] * len(shard_servers)
@@ -98,16 +98,6 @@ class ShardedCloudFrontend:
     @property
     def prime_count(self) -> int:
         return self.shard_servers[0].prime_count
-
-    @property
-    def _witness_cache(self):
-        """Non-None iff any shard holds a precomputed witness cache.
-
-        Only the system's ``is not None`` restart check reads this; the
-        caches themselves stay shard-local.
-        """
-        caches = [server._witness_cache for server in self.shard_servers]
-        return caches if any(c is not None for c in caches) else None
 
     def install_shards(self, shard_packages: list[ShardPackage]) -> None:
         """Install one Build/Insert delta, pre-split by the owner."""
@@ -226,9 +216,9 @@ class ShardedCloudFrontend:
 
         With a segment store attached the shard reopens from its own store
         directory (and may come back *warm* from its checkpoint); otherwise
-        it reloads the per-install snapshot.  Either way the witness cache,
-        if the shard had one and recovery didn't rehydrate it, is rebuilt
-        over its local primes — the single-cloud restart semantics.
+        it reloads the per-install snapshot.  Witnesses recovery did not
+        bring back are served by the shard's live ``MemWit`` until the next
+        precompute — the single-cloud restart semantics.
         """
         server = self.shard_servers[shard_id]
         has_store = server._store is not None
@@ -236,15 +226,12 @@ class ShardedCloudFrontend:
         if snap is None and not has_store:
             return
         perfstats.incr("chaos.shard_restarts")
-        had_cache = server._witness_cache is not None
         if has_store:
             server.reopen()
             server._ensure_hydrated()
             self._local_primes[shard_id] = dict(server._store_local_primes)
         else:
             server.restore(snap)
-        if had_cache and server._witness_cache is None:
-            server.precompute_witnesses(list(self._local_primes[shard_id]))
 
     # --------------------------------------------------------------- search
 

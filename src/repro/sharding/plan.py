@@ -106,7 +106,7 @@ class ShardPackage:
     ``package`` carries the shard-local index slice but the *full* delta
     prime list and the global ``Ac`` (see module docstring); ``local_primes``
     records which of those primes belong to keywords homed on this shard —
-    the set the shard's witness cache covers.
+    the set the shard's witness precompute covers.
     """
 
     shard_id: int

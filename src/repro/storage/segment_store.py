@@ -17,7 +17,7 @@ Insert delta), instead of the whole-state snapshot blobs
   the digest of the optional warm-state checkpoint.  Rewritten atomically
   through :func:`state_io.save` (tmp + fsync + rename + directory fsync).
 * ``warm.slcr`` — an optional warm-restart checkpoint: entry-cache nodes,
-  the witness-cache export, the repeat-witness memo and the kernel memo
+  the cloud's checked witness map and the kernel memo
   slices (trapdoor chain, ``H_prime``), stamped with the ``(Ac, primes,
   index)`` digests they were computed against.  Purely an accelerator: a
   stale or missing checkpoint degrades to a cold rebuild, never to wrong
@@ -399,8 +399,7 @@ class WarmState(NamedTuple):
     index_digest: bytes
     #: ``[(node_key, (entries tuple, suffix_hash, next_trapdoor|None)), ...]``
     entry_nodes: list[tuple[bytes, tuple[tuple[bytes, ...], int, bytes | None]]]
-    witness_cache: dict[int, int] | None
-    repeat_cache: dict[tuple[int, ...], dict[int, int]]
+    witnesses: dict[int, int]
     trapdoor_items: list[tuple[bytes, bytes]]
     hash_items: list[tuple[bytes, tuple[int, int]]]
 
@@ -418,20 +417,11 @@ def pack_warm_state(
     primes_dig: bytes,
     index_dig: bytes,
     entry_nodes,
-    witness_cache: dict[int, int] | None,
-    repeat_cache: dict[tuple[int, ...], dict[int, int]],
+    witnesses: dict[int, int],
     trapdoor_items,
     hash_items,
 ) -> bytes:
     """Serialize one warm checkpoint (inverse of :func:`unpack_warm_state`)."""
-
-    def _witness_map(items) -> bytes:
-        return encode_parts(
-            *[
-                encode_parts(codec.encode_int(p), codec.encode_int(w))
-                for p, w in items
-            ]
-        )
 
     nodes_blob = encode_parts(
         *[
@@ -444,17 +434,10 @@ def pack_warm_state(
             for key, (entries, suffix_hash, next_trapdoor) in entry_nodes
         ]
     )
-    witness_blob = (
-        b"" if witness_cache is None
-        else b"\x01" + _witness_map(witness_cache.items())
-    )
-    repeat_blob = encode_parts(
+    witness_blob = encode_parts(
         *[
-            encode_parts(
-                encode_parts(*[codec.encode_int(p) for p in subset]),
-                _witness_map(witnesses.items()),
-            )
-            for subset, witnesses in repeat_cache.items()
+            encode_parts(codec.encode_int(p), codec.encode_int(w))
+            for p, w in witnesses.items()
         ]
     )
     trapdoor_blob = encode_parts(
@@ -472,7 +455,6 @@ def pack_warm_state(
         index_dig,
         nodes_blob,
         witness_blob,
-        repeat_blob,
         trapdoor_blob,
         hash_blob,
     )
@@ -485,15 +467,8 @@ def unpack_warm_state(blob: bytes) -> WarmState:
 
     (
         ads_blob, primes_dig, index_dig,
-        nodes_blob, witness_blob, repeat_blob, trapdoor_blob, hash_blob,
+        nodes_blob, witness_blob, trapdoor_blob, hash_blob,
     ) = decode_parts(blob)
-
-    def _witness_map(packed: bytes) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for item in decode_parts(packed):
-            p, w = decode_parts(item)
-            out[codec.decode_int(p)] = codec.decode_int(w)
-        return out
 
     entry_nodes = []
     for packed in decode_parts(nodes_blob):
@@ -508,12 +483,10 @@ def unpack_warm_state(blob: bytes) -> WarmState:
                 ),
             )
         )
-    witness_cache = None if not witness_blob else _witness_map(witness_blob[1:])
-    repeat_cache: dict[tuple[int, ...], dict[int, int]] = {}
-    for packed in decode_parts(repeat_blob):
-        subset_blob, witnesses_blob = decode_parts(packed)
-        subset = tuple(codec.decode_int(p) for p in decode_parts(subset_blob))
-        repeat_cache[subset] = _witness_map(witnesses_blob)
+    witnesses: dict[int, int] = {}
+    for packed in decode_parts(witness_blob):
+        prime, witness = decode_parts(packed)
+        witnesses[codec.decode_int(prime)] = codec.decode_int(witness)
     trapdoor_items = [
         tuple(decode_parts(packed)) for packed in decode_parts(trapdoor_blob)
     ]
@@ -526,8 +499,7 @@ def unpack_warm_state(blob: bytes) -> WarmState:
         primes_dig,
         index_dig,
         entry_nodes,
-        witness_cache,
-        repeat_cache,
+        witnesses,
         trapdoor_items,  # type: ignore[arg-type]
         hash_items,
     )

@@ -866,10 +866,8 @@ class SlicerSystem:
         Models a process restart — in-memory caches are gone, durable state
         survives.  With a segment store attached the cloud reopens from the
         store (possibly *warm*, from its checkpoint); otherwise it reloads
-        the last installed ``(I, X, Ac)`` snapshot.  If the dead cloud had
-        precomputed witnesses and recovery didn't rehydrate them, the
-        restarted one rebuilds them: that is the witness-cache rebuild path
-        the chaos tests exercise.
+        the last installed ``(I, X, Ac)`` snapshot.  Witnesses recovery did
+        not bring back are served by the cloud's live ``MemWit``.
         """
         has_store = (
             getattr(self.cloud, "_store", None) is not None
@@ -878,13 +876,10 @@ class SlicerSystem:
         if self._cloud_snapshot is None and not has_store:
             return
         perfstats.incr("chaos.cloud_restarts")
-        had_cache = self.cloud._witness_cache is not None
         if has_store:
             self.cloud.reopen()
         else:
             self.cloud.restore(self._cloud_snapshot)
-        if had_cache and self.cloud._witness_cache is None:
-            self.cloud.precompute_witnesses()
 
     def _chaos_install(self, package: CloudPackage) -> None:
         """Owner -> cloud install over the transport (retried, idempotent)."""

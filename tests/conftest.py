@@ -7,6 +7,8 @@ All randomness is seeded for reproducibility.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.common.rng import default_rng
@@ -65,3 +67,41 @@ def owner_factory(session_keys):
         return DataOwner(params, keys=session_keys, rng=default_rng(seed))
 
     return make
+
+
+@dataclass
+class WitnessWork:
+    """Witness exponentiations a cloud performed, counted on any backend.
+
+    ``memwit`` counts live ``MemWit`` batches (root-factor work over a
+    non-empty prime subset, on any cloud or shard); ``checks`` counts the
+    per-item ``VerifyMem`` checks of owner-issued witnesses.
+    """
+
+    memwit: int = 0
+    checks: int = 0
+
+    @property
+    def total(self) -> int:
+        return self.memwit + self.checks
+
+
+@pytest.fixture()
+def witness_work(monkeypatch) -> WitnessWork:
+    from repro.core import cloud
+
+    work = WitnessWork()
+    root_witnesses = cloud.CloudServer._root_witnesses
+    verify_membership = cloud.verify_membership
+
+    def counted_root(self, subset):
+        work.memwit += bool(subset)
+        return root_witnesses(self, subset)
+
+    def counted_verify(*args):
+        work.checks += 1
+        return verify_membership(*args)
+
+    monkeypatch.setattr(cloud.CloudServer, "_root_witnesses", counted_root)
+    monkeypatch.setattr(cloud, "verify_membership", counted_verify)
+    return work

@@ -1,7 +1,9 @@
-"""Cloud-side precomputed witness cache: identical outputs, kept across installs.
+"""The cloud's one witness map: identical outputs, valid for exactly one ``Ac``.
 
 Packages are installed without owner-issued witnesses, so every witness
-here comes from the cloud's own ``MemWit`` path (paper Fig. 5).
+here comes from the cloud's own ``MemWit`` path (paper Fig. 5): live per
+query, or from one :meth:`~repro.core.cloud.CloudServer.precompute_witnesses`
+batch until ``Ac`` moves.
 """
 
 import pytest
@@ -9,13 +11,13 @@ import pytest
 from repro.common import perfstats
 from repro.common.errors import AccumulatorError
 from repro.common.rng import default_rng
+from repro.core import wire
 from repro.crypto import kernels
 from repro.core.cloud import CloudServer
 from repro.core.query import Query
 from repro.core.records import Database, make_database
 from repro.core.user import DataUser
 from repro.core.verify import verify_response
-from repro.crypto.accumulator import MembershipWitness, verify_membership
 
 
 @pytest.fixture()
@@ -27,6 +29,14 @@ def world(tparams, owner_factory):
     cloud.install(out.cloud_package.without_witnesses())
     user = DataUser(tparams, out.user_package, default_rng(5))
     return owner, cloud, user, db
+
+
+def insert_without_witnesses(owner, cloud, user):
+    add = Database(8)
+    add.add("new", 13)
+    out = owner.insert(add)
+    cloud.install(out.cloud_package.without_witnesses())
+    user.refresh(out.user_package)
 
 
 class TestCache:
@@ -46,22 +56,14 @@ class TestCache:
 
         _, cloud, user, _ = world
         tokens = user.make_tokens(Query.parse(100, ">"))
-
-        def live_once():
-            # The kernel repeat-query memo would serve runs 2-3 from cache;
-            # clear it so "live" means deriving the witnesses per query.
-            cloud._repeat_witness_cache.clear()
-            return cloud.search(tokens)
-
-        live_s = min(time_call(live_once)[0] for _ in range(3))
+        live_s = min(time_call(lambda: cloud.search(tokens))[0] for _ in range(3))
         cloud.precompute_witnesses()
         cached_s = min(time_call(lambda: cloud.search(tokens))[0] for _ in range(3))
         assert cached_s < live_s
 
     def test_cold_path_and_hit_path_identical(self, world, tparams):
-        """Same witnesses whether the cache is cold (live root-factor per
-        query) or warm (precomputed): the VO is a deterministic function of
-        the prime set."""
+        """Same witnesses whether served live (root-factor per query) or
+        precomputed: the VO is a deterministic function of the prime set."""
         owner, cloud, user, _ = world
         tokens = user.make_tokens(Query.parse(60, "<"))
         cold = cloud.search(tokens)
@@ -72,68 +74,77 @@ class TestCache:
         ]
         assert verify_response(tparams, cloud.ads_value, warm).ok
 
-    def test_install_keeps_cache_covering_delta(self, world, tparams):
-        """An insert does not drop the precompute: the cache is refilled
-        for the new prime set, delta included, identical to a rebuild."""
+    def test_witness_less_repeat_query_runs_live_memwit(self, world, tparams, witness_work):
+        """No memo between queries: a repeated witness-less query does the
+        paper's cloud-side ``MemWit`` again, and answers byte-identically."""
+        _, cloud, user, _ = world
+        tokens = user.make_tokens(Query.parse(100, ">"))
+        first = cloud.search(tokens)
+        assert witness_work.memwit == 1
+        second = cloud.search(tokens)
+        assert witness_work.memwit == 2
+        assert wire.dump_response(second) == wire.dump_response(first)
+        assert verify_response(tparams, cloud.ads_value, second).ok
+
+    def test_ac_moving_install_serves_no_stale_witness(self, world, tparams, witness_work):
+        """An insert without witnesses empties the map: every witness served
+        afterwards is computed against the new ``Ac``, none is left over."""
         owner, cloud, user, _ = world
+        tokens = user.make_tokens(Query.parse(100, ">"))
         cloud.precompute_witnesses()
-        add = Database(8)
-        add.add("new", 13)
-        out = owner.insert(add)
-        cloud.install(out.cloud_package.without_witnesses())
-        refilled = dict(cloud._witness_cache)
-        assert len(refilled) == cloud.prime_count  # survived, covers delta
-        rebuilt_count = cloud.precompute_witnesses()
-        assert rebuilt_count == len(refilled)
-        assert cloud._witness_cache == refilled
-        # Every refilled witness verifies against the on-chain
-        # accumulation value.
-        acc = tparams.accumulator
-        for prime, witness_value in refilled.items():
-            assert verify_membership(
-                acc, cloud.ads_value, prime, MembershipWitness(witness_value)
-            )
-        user.refresh(out.user_package)
-        response = cloud.search(user.make_tokens(Query.parse(13, "=")))
+        before = {r.witness.value for r in cloud.search(tokens).results}
+        insert_without_witnesses(owner, cloud, user)
+        memwit = witness_work.memwit
+        response = cloud.search(user.make_tokens(Query.parse(100, ">")))
+        assert witness_work.memwit == memwit + 1  # live, nothing precomputed
+        assert before.isdisjoint(r.witness.value for r in response.results)
         assert verify_response(tparams, cloud.ads_value, response).ok
 
-    def test_recompute_after_update_verifies(self, world, tparams):
+    def test_recompute_after_update_verifies(self, world, tparams, witness_work):
         owner, cloud, user, _ = world
-        add = Database(8)
-        add.add("new", 13)
-        out = owner.insert(add)
-        cloud.install(out.cloud_package.without_witnesses())
+        insert_without_witnesses(owner, cloud, user)
         cloud.precompute_witnesses()
-        user.refresh(out.user_package)
+        memwit = witness_work.memwit
         response = cloud.search(user.make_tokens(Query.parse(13, "=")))
+        assert witness_work.memwit == memwit  # the precompute covered it
         assert verify_response(tparams, cloud.ads_value, response).ok
 
     @pytest.mark.skipif(
         not kernels.kernels_enabled(), reason="self-check rides the kernel layer"
     )
     def test_selfcheck_runs_on_precompute_and_refresh(self, world):
-        """The trusted-batch self-check covers both cache-creation paths —
-        its inputs are the cloud's own witnesses, the one place the batch
-        kernel's trusted-input precondition holds."""
-        owner, cloud, _, _ = world
+        """The trusted-batch self-check covers every precompute, including
+        the refresh after an insert — its inputs are the cloud's own
+        witnesses, the one place the batch kernel's trusted-input
+        precondition holds."""
+        owner, cloud, user, _ = world
         perfstats.reset("cloud.witness_cache.")
         cloud.precompute_witnesses()
         assert perfstats.get("cloud.witness_cache.selfcheck") == 1
-        add = Database(8)
-        add.add("new", 13)
-        cloud.install(owner.insert(add).cloud_package.without_witnesses())
+        insert_without_witnesses(owner, cloud, user)
+        assert perfstats.get("cloud.witness_cache.selfcheck") == 1  # no eager refill
+        cloud.precompute_witnesses()
         assert perfstats.get("cloud.witness_cache.selfcheck") == 2
 
     @pytest.mark.skipif(
         not kernels.kernels_enabled(), reason="self-check rides the kernel layer"
     )
-    def test_selfcheck_catches_corrupt_cache(self, world):
-        _, cloud, _, _ = world
-        cloud.precompute_witnesses()
-        prime = next(iter(cloud._witness_cache))
-        cloud._witness_cache[prime] = 4  # not a witness for anything here
+    def test_selfcheck_catches_corrupt_cache(self, world, tparams, monkeypatch):
+        """A precompute batch that fails the self-check raises and leaves
+        nothing behind: the next query is served live and verifies."""
+        _, cloud, user, _ = world
+        root_witnesses = CloudServer._root_witnesses
+
+        def corrupt(self, subset):
+            # 4 is not a witness for anything here.
+            return {p: 4 for p in root_witnesses(self, subset)}
+
+        monkeypatch.setattr(CloudServer, "_root_witnesses", corrupt)
         with pytest.raises(AccumulatorError):
-            cloud._check_witness_cache()
+            cloud.precompute_witnesses()
+        monkeypatch.undo()
+        response = cloud.search(user.make_tokens(Query.parse(100, ">")))
+        assert verify_response(tparams, cloud.ads_value, response).ok
 
     def test_cache_miss_produces_invalid_witness(self, world, tparams):
         """A lazy cloud with a cache still cannot fake unknown primes."""

@@ -205,8 +205,8 @@ class TestCrashRecoveryInMatrix:
         self, tparams, owner_factory
     ):
         """Every delivery crashes the cloud once; restarts restore the
-        snapshot and rebuild the precomputed witness cache, and the search
-        still settles paid."""
+        snapshot (witnesses it cannot vouch for fall back to live
+        ``MemWit``), and the search still settles paid."""
         profile = FaultProfile(name="forced-crash", crash=1000, force_clean_after=1)
         perfstats.reset()
         system = build_cell(tparams, owner_factory, None, profile)
@@ -215,8 +215,6 @@ class TestCrashRecoveryInMatrix:
         outcome = system.search(Query.parse(7, "="), payment=PAYMENT)
         assert outcome.verified
         assert perfstats.get("chaos.cloud_restarts") > 0
-        # The restart path rebuilt the cache (restore drops it first).
-        assert system.cloud._witness_cache is not None
         assert outcome.attempts > 2
 
     def test_crash_between_install_and_ads_update(self, tparams, owner_factory):

@@ -67,7 +67,7 @@ class TestOwnerWitnessesEqualMemWit:
         dual.delete(b"\x00\x00\x00rec-1")
         for system in (dual.insert_system, dual.delete_system):
             cloud = system.cloud
-            assert cloud._owner_witnesses == memwit(tparams, cloud._primes)
+            assert cloud._witnesses == memwit(tparams, cloud._primes)
         result = dual.search(Query.parse(9, "="))
         assert result.verified
         assert result.record_ids == {b"\x00\x00\x00rec-2", b"rec-new1"}
@@ -81,9 +81,9 @@ class TestCorruptOwnerWitness:
         cloud = s.cloud
         token = s.user.make_tokens(query)[0]
         victim = cloud._token_prime(token, cloud._collect(token))
-        honest = cloud._owner_witnesses[victim]
+        honest = cloud._witnesses[victim]
         n = tparams.accumulator.modulus
-        cloud._owner_witnesses[victim] = honest * tparams.accumulator.generator % n
+        cloud._witnesses[victim] = honest * tparams.accumulator.generator % n
 
         perfstats.reset("cloud.owner_witness.")
         outcome = s.search(query, payment=5000)
@@ -104,7 +104,7 @@ class TestNotPersisted:
             assert out.cloud_package.witnesses
             with_w.install(out.cloud_package)
             without.install(out.cloud_package.without_witnesses())
-        assert with_w._owner_witnesses and not without._owner_witnesses
+        assert with_w._witnesses and not without._witnesses
         assert with_w.snapshot() == without.snapshot()
 
 
@@ -134,7 +134,7 @@ class TestInstallWithoutWitnesses:
         # leave the previous Ac's witnesses behind.
         delta = owner.insert(database([8, 99], start=40))
         lookup.install(delta.cloud_package.without_witnesses())
-        assert lookup._owner_witnesses == {}
+        assert lookup._witnesses == {}
         user.refresh(delta.user_package)
         for query in queries:
             response = lookup.search(user.make_tokens(query))

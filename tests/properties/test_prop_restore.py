@@ -5,13 +5,13 @@ cloud that just restored state identical to its live state must serve the
 same bytes with the same deterministic counter deltas as a twin that never
 restarted — including the cache hits.  Witnesses are a pure function of
 ``(X, Ac)`` and entry-cache nodes of the stored epochs, so a restore that
-drops either shows up here as a counter divergence.
+drops either shows up here as a counter or witness-work divergence.
 """
 
 import inspect
 from functools import lru_cache
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.common import perfstats
 from repro.common.rng import default_rng
@@ -47,16 +47,18 @@ def world():
     return control, restored, user
 
 
-def measured_search(cloud, tokens):
+def measured_search(cloud, tokens, witness_work):
+    """Response bytes, deterministic counter delta and witness work."""
     kernels.clear_caches()  # both twins start each probe from cold memos
     base = perfstats.snapshot()
+    work = (witness_work.memwit, witness_work.checks)
     blob = wire.dump_response(cloud.search(tokens))
     delta = {
         k: v
         for k, v in perfstats.delta_since(base).items()
         if not k.startswith(EXCLUDE)
     }
-    return blob, delta
+    return blob, delta, (witness_work.memwit - work[0], witness_work.checks - work[1])
 
 
 class TestRestoreIsNoOp:
@@ -64,17 +66,28 @@ class TestRestoreIsNoOp:
         value=st.integers(0, 255),
         op=st.sampled_from(["=", ">", "<"]),
     )
-    @settings(max_examples=20, deadline=None)
-    def test_restore_from_own_snapshot_counter_identical(self, value, op):
+    @settings(
+        max_examples=20,
+        deadline=None,
+        # The witness-work counter is cumulative; each probe reads a delta.
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_restore_from_own_snapshot_counter_identical(self, witness_work, value, op):
         control, restored, user = world()
         tokens = user.make_tokens(Query.parse(value, op))
 
         before = perfstats.get("cloud.restore.caches_kept")
         restored.restore(restored.snapshot())
         assert perfstats.get("cloud.restore.caches_kept") == before + 1
-        assert restored._witness_cache == control._witness_cache
 
-        control_blob, control_delta = measured_search(control, tokens)
-        restored_blob, restored_delta = measured_search(restored, tokens)
+        control_blob, control_delta, control_work = measured_search(
+            control, tokens, witness_work
+        )
+        restored_blob, restored_delta, restored_work = measured_search(
+            restored, tokens, witness_work
+        )
         assert restored_blob == control_blob
         assert restored_delta == control_delta
+        # A restore that dropped the witness map (or its checked set) would
+        # redo MemWit or owner checks the never-restarted twin skips.
+        assert restored_work == control_work

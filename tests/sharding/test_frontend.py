@@ -72,7 +72,7 @@ class TestMergeIdentity:
 
 class TestWitnessPrecompute:
     def test_per_shard_precompute_partitions_the_work(
-        self, tparams, owner_factory, session_keys
+        self, tparams, owner_factory, session_keys, witness_work
     ):
         # Installs without owner witnesses: the cloud-side MemWit path.
         plan = HashShardPlan(4)
@@ -90,16 +90,23 @@ class TestWitnessPrecompute:
         reference.install(out.cloud_package.without_witnesses())
         assert frontend.precompute_witnesses() == reference.precompute_witnesses()
         assert frontend.precompute_witnesses() == frontend.prime_count
-        # Per-shard caches hold only local primes, together covering all.
-        sizes = [
-            len(server._witness_cache or {}) for server in frontend.shard_servers
-        ]
-        assert sum(sizes) == frontend.prime_count
+        # Per-shard precomputes together cover every prime: no shard (and
+        # not the reference) does witness work per query any more.
+        user = DataUser(tparams, out.user_package, default_rng(3))
+        work = witness_work.total
+        for query in QUERIES:
+            tokens = user.make_tokens(query)
+            merged = frontend.search(tokens)
+            assert wire.dump_response(merged) == wire.dump_response(
+                reference.search(tokens)
+            )
+            assert verify_response(tparams, frontend.ads_value, merged).ok
+        assert witness_work.total == work
 
-    def test_owner_witnesses_leave_nothing_to_precompute(self, deployment):
+    def test_owner_witnesses_leave_nothing_to_precompute(self, deployment, witness_work):
         _, frontend, reference, user = deployment
         assert frontend.precompute_witnesses() == frontend.prime_count
-        assert all(server._witness_cache == {} for server in frontend.shard_servers)
+        assert witness_work.memwit == 0
         for query in QUERIES:
             tokens = user.make_tokens(query)
             assert wire.dump_response(frontend.search(tokens)) == wire.dump_response(

@@ -12,8 +12,10 @@ import os
 
 import pytest
 
+from repro.common import perfstats
 from repro.common.errors import StateError
 from repro.common.rng import default_rng
+from repro.core import wire
 from repro.core.cloud import CloudServer
 from repro.core.query import Query
 from repro.core.records import make_database
@@ -115,30 +117,39 @@ class TestCloudSnapshotRoundTrip:
         response = cloud.search(user.make_tokens(Query.parse(100, ">")))
         assert verify_response(tparams, cloud.ads_value, response).ok
 
-    def test_restore_from_own_snapshot_keeps_caches(self, world):
+    def test_restore_from_own_snapshot_keeps_caches(self, world, tparams, witness_work):
         """The cache-amnesia fix: witnesses are a pure function of
         ``(X, Ac)``, so restoring state identical to the live state must not
-        throw away a provably-still-exact cache."""
-        _, cloud, _, _ = world
-        cloud.precompute_witnesses()
-        before = dict(cloud._witness_cache)
+        throw away a provably-still-exact witness map or entry cache."""
+        _, cloud, out, _ = world
+        user = DataUser(tparams, out.user_package, default_rng(9))
+        tokens = user.make_tokens(Query.parse(100, ">"))
+        before = cloud.search(tokens)  # checks the owner witnesses it serves
         entry_cache = cloud._entry_cache
         cloud.restore(cloud.snapshot())
-        assert cloud._witness_cache == before
+        work = witness_work.total
+        after = cloud.search(tokens)
+        assert witness_work.total == work  # no MemWit, no re-check
+        assert wire.dump_response(after) == wire.dump_response(before)
         assert cloud._entry_cache is entry_cache
 
-    def test_restore_of_stale_state_drops_witness_cache(self, world, tparams):
+    def test_restore_of_stale_state_drops_witness_cache(self, world, tparams, witness_work):
         """Restoring *older* state (different primes/Ac) models rollback: the
-        cache would be stale for the restored prime set, so it is dropped
-        until explicitly rebuilt (what the chaos restart hook does)."""
-        owner, cloud, _, _ = world
+        witnesses would be stale for the restored prime set, so they are
+        dropped and the restored cloud serves live ``MemWit`` again."""
+        owner, cloud, out, _ = world
         old_snapshot = cloud.snapshot()
         delta = owner.insert(make_database([("z0", 13), ("z1", 77)], bits=8))
         cloud.install(delta.cloud_package)
         cloud.precompute_witnesses()
-        assert cloud._witness_cache is not None
+        dropped = perfstats.get("cloud.restore.caches_dropped")
         cloud.restore(old_snapshot)
-        assert cloud._witness_cache is None
+        assert perfstats.get("cloud.restore.caches_dropped") == dropped + 1
+        user = DataUser(tparams, out.user_package, default_rng(9))
+        memwit = witness_work.memwit
+        response = cloud.search(user.make_tokens(Query.parse(100, ">")))
+        assert witness_work.memwit == memwit + 1
+        assert verify_response(tparams, cloud.ads_value, response).ok
         assert cloud.precompute_witnesses() == cloud.prime_count
 
 

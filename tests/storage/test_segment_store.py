@@ -160,7 +160,6 @@ class TestWarmCheckpoint:
             [(b"node-key", ((b"e1", b"e2"), 12345, b"next-t")),
              (b"other-key", ((), 0, None))],
             {3: 99, 5: 101},
-            {(3, 5): {3: 7}, (): {}},
             [(b"t0", b"t1")],
             [(b"data", (1009, 4))],
         )
@@ -171,16 +170,11 @@ class TestWarmCheckpoint:
             (b"node-key", ((b"e1", b"e2"), 12345, b"next-t")),
             (b"other-key", ((), 0, None)),
         ]
-        assert warm.witness_cache == {3: 99, 5: 101}
-        assert warm.repeat_cache == {(3, 5): {3: 7}, (): {}}
+        assert warm.witnesses == {3: 99, 5: 101}
         assert warm.trapdoor_items == [(b"t0", b"t1")]
         assert warm.hash_items == [(b"data", (1009, 4))]
-
-    def test_warm_state_none_witness_cache_distinct_from_empty(self):
-        base = (0, b"\x00" * 32, b"\x01" * 32, [], None, {}, [], [])
-        assert unpack_warm_state(pack_warm_state(*base)).witness_cache is None
-        filled = (0, b"\x00" * 32, b"\x01" * 32, [], {}, {}, [], [])
-        assert unpack_warm_state(pack_warm_state(*filled)).witness_cache == {}
+        empty = pack_warm_state(0, b"\x00" * 32, b"\x01" * 32, [], {}, [], [])
+        assert unpack_warm_state(empty).witnesses == {}
 
 
 class TestCloudReopen:
@@ -220,7 +214,7 @@ class TestCloudReopen:
         assert resumed.prime_count == cloud.prime_count  # first state access
         assert perfstats.delta_since(base)["segstore.segments_replayed"] == 1
 
-    def test_warm_reopen_rehydrates_caches(self, world, tparams, tmp_path):
+    def test_warm_reopen_rehydrates_caches(self, world, tparams, tmp_path, witness_work):
         owner, out, _ = world
         cloud = self.make_cloud(tparams, owner, tmp_path / "store")
         cloud.install(out.cloud_package)
@@ -229,29 +223,32 @@ class TestCloudReopen:
         cloud.precompute_witnesses()
         warm_response = cloud.search(tokens)
         cloud.checkpoint()
-        # Every prime's ready witness: here all owner-issued, none computed.
-        witness_cache = {p: cloud._lookup_witness(p) for p in cloud._primes}
         node_keys = list(cloud._entry_cache.nodes)
 
         resumed = self.make_cloud(tparams, owner)
         resumed.reopen(tmp_path / "store")
+        # Replay + warm load happen here, outside the measured leg.
+        assert resumed.prime_count == cloud.prime_count
         base = perfstats.snapshot()
+        work = witness_work.total
         response = resumed.search(tokens)
         delta = perfstats.delta_since(base)
         assert response == warm_response
         assert delta.get("cloud.collect.index_probes", 0) == 0
         assert delta.get("cloud.collect.prf_evals", 0) == 0
-        assert resumed._witness_cache == witness_cache
+        assert witness_work.total == work
         assert list(resumed._entry_cache.nodes) == node_keys
 
-    def test_warm_reopen_keeps_owner_witness_coverage(self, world, tparams, tmp_path):
-        """Owner witnesses covering the precompute scope are checkpointed, so
-        the first (never before served) query after reopen needs no MemWit."""
+    def test_warm_reopen_keeps_owner_witness_coverage(
+        self, world, tparams, tmp_path, witness_work
+    ):
+        """Owner witnesses are checked and checkpointed, so the first (never
+        before served) query after reopen needs no MemWit and no check."""
         owner, out, _ = world
         cloud = self.make_cloud(tparams, owner, tmp_path / "store")
         cloud.install(out.cloud_package)
-        cloud.precompute_witnesses()
-        assert cloud._witness_cache == {}  # the owner covered every prime
+        assert cloud.precompute_witnesses() == cloud.prime_count
+        assert witness_work.memwit == 0  # the owner covered every prime
         cloud.checkpoint()
         user = DataUser(tparams, out.user_package, default_rng(9))
         tokens = user.make_tokens(Query.parse(100, ">"))
@@ -259,13 +256,38 @@ class TestCloudReopen:
 
         resumed = self.make_cloud(tparams, owner)
         resumed.reopen(tmp_path / "store")
-        base = perfstats.snapshot()
+        assert resumed.prime_count == cloud.prime_count
+        work = witness_work.total
         response = resumed.search(tokens)
-        assert perfstats.delta_since(base).get("cloud.repeat_witness.miss", 0) == 0
+        assert witness_work.total == work
         assert response == expected
-        assert resumed._witness_cache == out.cloud_package.witnesses
 
-    def test_stale_checkpoint_degrades_to_cold(self, world, tparams, tmp_path):
+    def test_warm_checkpoint_round_trips_computed_witnesses(
+        self, world, tparams, tmp_path, witness_work
+    ):
+        """A witness-less cloud's precomputed map survives the checkpoint:
+        the reopened cloud's first covered query does no witness work."""
+        owner, out, _ = world
+        cloud = self.make_cloud(tparams, owner, tmp_path / "store")
+        cloud.install(out.cloud_package.without_witnesses())
+        cloud.precompute_witnesses()
+        cloud.checkpoint()
+        user = DataUser(tparams, out.user_package, default_rng(9))
+        tokens = user.make_tokens(Query.parse(60, "<"))
+        expected = cloud.search(tokens)
+
+        resumed = self.make_cloud(tparams, owner)
+        resumed.reopen(tmp_path / "store")
+        base = perfstats.snapshot()
+        assert resumed.prime_count == cloud.prime_count
+        assert perfstats.delta_since(base)["segstore.warm.loaded"] == 1
+        work = witness_work.total
+        response = resumed.search(tokens)
+        assert witness_work.total == work
+        assert response == expected
+        assert verify_response(tparams, resumed.ads_value, response).ok
+
+    def test_stale_checkpoint_degrades_to_cold(self, world, tparams, tmp_path, witness_work):
         """A checkpoint taken before a later install fails its stamps: the
         reopened cloud rebuilds cold but still answers correctly."""
         owner, out, _ = world
@@ -280,8 +302,9 @@ class TestCloudReopen:
         resumed.reopen(tmp_path / "store")
         user = DataUser(tparams, delta.user_package, default_rng(9))
         query = Query.parse(100, ">")
+        memwit = witness_work.memwit
         response = resumed.search(user.make_tokens(query))
-        assert resumed._witness_cache is None  # stale checkpoint ignored
+        assert witness_work.memwit == memwit + 1  # stale witnesses ignored
         assert perfstats.get("segstore.warm.stale") >= 1
         assert verify_response(tparams, resumed.ads_value, response).ok
 
