@@ -36,7 +36,7 @@ from .core import (
 from .core.audit import AuditRecord, ThirdPartyAuditor
 from .dual_system import DualSearchOutcome, DualSlicerSystem
 from .planner import QueryPlan, compile_plan, compile_plans
-from .sharding import HashShardPlan, ShardPlan, ShardedCloudFrontend
+from .sharding import HashShardPlan, ShardedCloudFrontend
 from .sore import OrderCondition, SoreScheme
 from .system import PlanOutcome, SearchOutcome, SlicerSystem
 
@@ -53,7 +53,6 @@ __all__ = [
     "DualSearchOutcome",
     "DualSlicerSystem",
     "HashShardPlan",
-    "ShardPlan",
     "ShardedCloudFrontend",
     "ThirdPartyAuditor",
     "MaliciousCloud",

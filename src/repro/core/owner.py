@@ -85,15 +85,14 @@ class DataOwner:
         params: SlicerParams,
         keys: KeyBundle | None = None,
         rng: DeterministicRNG | None = None,
-        shard_plan=None,
     ) -> None:
         self.params = params
         self.rng = rng or default_rng()
-        #: Optional :class:`~repro.sharding.plan.ShardPlan`; when set, every
-        #: Build/Insert output also carries per-shard packages.  Routing does
-        #: not touch the flat package, so setting a plan never changes the
-        #: single-cloud bytes.
-        self.shard_plan = shard_plan
+        #: Optional :class:`~repro.sharding.plan.HashShardPlan`; when set,
+        #: every Build/Insert output also carries per-shard packages.  Routing
+        #: does not touch the flat package, so setting a plan never changes
+        #: the single-cloud bytes.
+        self.shard_plan = None
         self.keys = keys or KeyBundle.generate(self.rng)
         self.trapdoor_state = TrapdoorState()
         self.set_hash_state = SetHashState()

@@ -4,16 +4,14 @@ The paper's CSP is one logical server; this package splits it into N
 independent :class:`~repro.core.cloud.CloudServer` shards behind a
 scatter/gather front door whose merged output is byte-identical to the
 single-cloud path at any shard count.  See :mod:`repro.sharding.plan` for
-the routing/replication rules, :mod:`repro.sharding.frontend` for the
-in-process tier and :mod:`repro.sharding.net` for the real ``asyncio``
-socket deployment.
+the routing/replication rules and :mod:`repro.sharding.frontend` for the
+tier itself, which serves every shard in-process.
 """
 
 from .frontend import ShardedCloudFrontend
 from .plan import (
     HashShardPlan,
     ShardPackage,
-    ShardPlan,
     dump_shard_package,
     equality_route,
     load_shard_package,
@@ -23,7 +21,6 @@ from .plan import (
 __all__ = [
     "HashShardPlan",
     "ShardPackage",
-    "ShardPlan",
     "ShardedCloudFrontend",
     "dump_shard_package",
     "equality_route",

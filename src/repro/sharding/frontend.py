@@ -18,13 +18,11 @@ replicated prime set, so the merged response is byte-identical to the
 single-cloud response at any shard count (the property suite asserts this
 bit for bit).
 
-Two execution paths exist.  The **in-process simulation** (default) serves
-shards sequentially in shard-id order — deterministic, used by tests and
-benchmarks.  With a ``transport`` the request legs cross
+Shards are served in-process, one after another in shard-id order, so
+execution is deterministic.  With a ``transport`` the request legs cross
 the fault-injecting :class:`~repro.chaos.ChaosTransport` on **per-shard
 channels** (``contract->cloud#shardK``), each with its own retry budget and
-crash-restart hook backed by a per-shard durable snapshot.  The real
-``asyncio`` socket path lives in :mod:`repro.sharding.net`.
+crash-restart hook backed by a per-shard durable snapshot.
 
 A shard marked dead (:meth:`kill_shard`, no snapshot to restart from)
 degrades *detectably*: its tokens get empty results with an invalid
@@ -48,7 +46,7 @@ from ..core.params import SlicerParams
 from ..core.tokens import SearchToken
 from ..crypto.trapdoor import TrapdoorPublicKey
 from ..storage import codec, state_io
-from .plan import ShardPackage, ShardPlan, merge_responses, route_tokens
+from .plan import HashShardPlan, ShardPackage, merge_responses, route_tokens
 
 _KIND_TIER = b"shard-tier"
 
@@ -60,29 +58,22 @@ class ShardedCloudFrontend:
         self,
         params: SlicerParams,
         trapdoor_public: TrapdoorPublicKey,
-        plan: ShardPlan,
-        shard_servers: list[CloudServer] | None = None,
+        plan: HashShardPlan,
         transport=None,
         retry: RetryPolicy | None = None,
     ) -> None:
         self.params = params.public()
         self.plan = plan
-        if shard_servers is None:
-            shard_servers = [
-                CloudServer(params, trapdoor_public) for _ in range(plan.shards)
-            ]
-        if len(shard_servers) != plan.shards:
-            raise ParameterError(
-                f"plan expects {plan.shards} shards, got {len(shard_servers)} servers"
-            )
-        self.shard_servers = list(shard_servers)
+        self.shard_servers = [
+            CloudServer(params, trapdoor_public) for _ in range(plan.shards)
+        ]
         self.transport = transport
         self.retry = retry or RetryPolicy()
         #: Which accumulated primes each shard's keywords own (the set its
         #: per-shard precompute covers); grows with every installed delta.
-        self._local_primes: list[dict[int, None]] = [{} for _ in shard_servers]
+        self._local_primes: list[dict[int, None]] = [{} for _ in range(plan.shards)]
         #: Per-shard durable snapshots for chaos crash-restart.
-        self._snapshots: list[bytes | None] = [None] * len(shard_servers)
+        self._snapshots: list[bytes | None] = [None] * plan.shards
         #: Shards taken down hard (no restart): served as detectable failures.
         self._dead: set[int] = set()
         #: Root of the per-shard segment stores once :meth:`attach_store` ran.
@@ -137,12 +128,14 @@ class ShardedCloudFrontend:
         """The plan fingerprint stamped into shard ``sid``'s store manifest.
 
         Binds the store to the routing function: reopening a shard directory
-        under a different plan class, width or slot would silently misroute
+        under a different shard count or slot would silently misroute
         tokens, so the manifest's plan check turns that into a loud
-        :class:`StateError` instead.
+        :class:`StateError` instead.  The leading name is a fixed literal
+        because every shard store on disk carries it; changing it would
+        refuse them all.
         """
         return encode_parts(
-            type(self.plan).__name__.encode(),
+            b"HashShardPlan",
             encode_uint(self.plan.shards),
             encode_uint(sid),
         )

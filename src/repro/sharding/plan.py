@@ -40,13 +40,11 @@ _ROUTE_DOMAIN = b"repro.shard.route:"
 _KIND_SHARD_PACKAGE = b"shard-package"
 
 
-class ShardPlan:
-    """Pluggable deterministic router: keyword ``G1`` -> shard id.
+class HashShardPlan:
+    """The deterministic router: ``sha256(domain || G1) mod N`` (stable hash).
 
-    Subclasses override :meth:`shard_of`; everything downstream (owner
-    splitting, frontend scatter, fault channels) consumes the plan through
-    this one method, so alternative placements (consistent hashing, pinned
-    hot keywords) drop in without touching the protocol.
+    Everything downstream (owner splitting, frontend scatter, fault
+    channels) consumes the plan through :meth:`shard_of` and ``shards``.
     """
 
     def __init__(self, shards: int) -> None:
@@ -55,19 +53,12 @@ class ShardPlan:
         self.shards = shards
 
     def shard_of(self, g1: bytes) -> int:
-        raise NotImplementedError
-
-
-class HashShardPlan(ShardPlan):
-    """The default router: ``sha256(domain || G1) mod N`` (stable hash)."""
-
-    def shard_of(self, g1: bytes) -> int:
         digest = hashlib.sha256(_ROUTE_DOMAIN + g1).digest()
         return int.from_bytes(digest[:8], "big") % self.shards
 
 
 def route_tokens(
-    plan: ShardPlan, tokens: list[SearchToken]
+    plan: HashShardPlan, tokens: list[SearchToken]
 ) -> tuple[list[int], dict[int, list[SearchToken]]]:
     """Route every token to its home shard by ``G1``.
 
@@ -140,7 +131,7 @@ def load_shard_package(blob: bytes) -> ShardPackage:
 
 
 def split_package(
-    plan: ShardPlan,
+    plan: HashShardPlan,
     routed: list[tuple[int, list[tuple[bytes, bytes]], int]],
     all_primes: list[int],
     accumulation: int,
@@ -179,7 +170,7 @@ def split_package(
     ]
 
 
-def equality_route(prf_key: bytes, value_bits: int, plan: ShardPlan):
+def equality_route(prf_key: bytes, value_bits: int, plan: HashShardPlan):
     """``Query -> shard id`` for equality queries (test/benchmark side).
 
     Benchmarks and the :class:`~repro.workloads.generator.ShardSkew`

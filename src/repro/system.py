@@ -228,7 +228,6 @@ class SlicerSystem:
         transport: ChaosTransport | None = None,
         retry: RetryPolicy | None = None,
         shards: int = 1,
-        shard_plan=None,
         account_tag: str | None = None,
         env_transport: bool = True,
         settlement_mode: str = "sync",
@@ -265,18 +264,15 @@ class SlicerSystem:
         self.transport = transport
         self.retry = retry or RetryPolicy()
 
-        # Sharded serving tier (opt-in): shards > 1 or an explicit plan
-        # replaces the single cloud with a scatter/gather frontend whose
-        # merged output is byte-identical to the single-cloud path.
-        plan = shard_plan
-        if plan is None and shards > 1:
-            plan = HashShardPlan(shards)
+        # Sharded serving tier (opt-in): shards > 1 replaces the single
+        # cloud with a scatter/gather frontend whose merged output is
+        # byte-identical to the single-cloud path.
         if cloud is None:
-            if plan is not None:
+            if shards > 1:
                 cloud = ShardedCloudFrontend(
                     self.params,
                     self.owner.keys.trapdoor.public,
-                    plan,
+                    HashShardPlan(shards),
                     transport=self.transport,
                     retry=self.retry,
                 )

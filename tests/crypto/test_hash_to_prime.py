@@ -114,8 +114,8 @@ class TestCrossProcessDeterminism:
     def test_fresh_interpreter_agrees_with_parent(self):
         """H_prime is a pure function of its input bytes: a freshly spawned
         interpreter (cold memo, its own hash seed) derives the same primes
-        as this process.  Socket shards and reopened segment stores rely on
-        exactly this to recompute primes the owner derived elsewhere."""
+        as this process.  Reopened segment stores rely on exactly this to
+        recompute primes the owner derived elsewhere."""
         payloads = [b"proc" + i.to_bytes(4, "big") for i in range(8)]
         script = (
             "import sys\n"

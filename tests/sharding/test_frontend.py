@@ -4,7 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.common.errors import ParameterError
+from repro.common.encoding import encode_parts, encode_uint
+from repro.common.errors import ParameterError, StateError
 from repro.common.rng import default_rng
 from repro.core import wire
 from repro.core.cloud import CloudServer
@@ -13,6 +14,7 @@ from repro.core.records import make_database
 from repro.core.user import DataUser
 from repro.core.verify import verify_response
 from repro.sharding import HashShardPlan, ShardedCloudFrontend
+from repro.storage.segment_store import SegmentStore
 
 VALUES = [7, 7, 9, 40, 41, 64, 3, 200]
 QUERIES = [Query.parse(7, "="), Query.parse(40, ">"), Query.parse(64, "<")]
@@ -156,6 +158,30 @@ class TestTierSnapshot:
         )
         with pytest.raises(ParameterError):
             other.restore(frontend.snapshot())
+
+
+class TestStoreFingerprint:
+    def test_manifests_pin_the_plan_bytes(self, deployment, tmp_path):
+        # These bytes are on disk in every shard store written so far; a
+        # change here would stop existing stores from reopening.
+        _, frontend, _, _ = deployment
+        frontend.attach_store(tmp_path)
+        for k in range(4):
+            store = SegmentStore.open(tmp_path / f"shard-{k}")
+            assert store.plan == encode_parts(
+                b"HashShardPlan", encode_uint(4), encode_uint(k)
+            )
+
+    def test_reopen_under_another_width_refused(
+        self, deployment, tparams, session_keys, tmp_path
+    ):
+        _, frontend, _, _ = deployment
+        frontend.attach_store(tmp_path)
+        narrower = ShardedCloudFrontend(
+            tparams, session_keys.trapdoor.public, HashShardPlan(2)
+        )
+        with pytest.raises(StateError, match="plan mismatch"):
+            narrower.reopen(tmp_path)
 
 
 class TestInstallValidation:
