@@ -1,12 +1,12 @@
 #!/usr/bin/env python
-"""Block settlement bench: batched-verify savings vs per-query settlement.
+"""Block settlement bench: one block per round vs per-query settlement.
 
-Settling a block's worth of escrows lets the cloud fold every membership
-self-check of the round through the trusted ``batch_verify_membership``
+Settling a block's worth of escrows moves amortisation from the
+transaction (sync mode's ``batch_verify_and_settle``) to the *block*,
+keeping each verdict individually provable from the header's settlement
+root.  Beside the two flows it times the trusted ``batch_verify_membership``
 kernel — one multi-exponentiation for N witnesses instead of one full
-``pow`` each — and moves amortisation from the transaction (sync mode's
-``batch_verify_and_settle``) to the *block*, keeping each verdict
-individually provable from the header's settlement root.
+``pow`` each — over the round's ``(prime, witness)`` pairs.
 
 Byte-identity is a precondition of every timing this file reports:
 
@@ -38,6 +38,7 @@ from repro.core import wire  # noqa: E402
 from repro.core.owner import DataOwner  # noqa: E402
 from repro.core.params import KeyBundle  # noqa: E402
 from repro.core.query import Query  # noqa: E402
+from repro.core.verify import _result_prime  # noqa: E402
 from repro.crypto import kernels  # noqa: E402
 from repro.crypto import modmath  # noqa: E402
 from repro.obs.metrics import REGISTRY  # noqa: E402
@@ -101,18 +102,19 @@ def main() -> int:
     batched = fresh_system(keys, "block")
     height_before = batched.chain.height
     batched_s, block_outcomes = time_call(lambda: batched.batch_search(QUERIES))
-    counters = REGISTRY.snapshot()["counters"]
     block_settle_gas = sum(o.settle_receipt.gas_used for o in block_outcomes)
     settle_blocks = len({o.settle_height for o in block_outcomes})
     assert settle_blocks == 1, "one block must carry the whole round"
 
-    # Kernel micro-bench: the trusted self-check fold vs naive per-item
-    # pows, over the exact (prime, witness) pairs the block round produced.
+    # Kernel micro-bench: the trusted batch fold vs naive per-item pows,
+    # over the exact (prime, witness) pairs the block round settled.
     modulus = batched.params.accumulator.modulus
     ads = batched.cloud.ads_value
-    items: list[tuple[int, int]] = []
-    for outcome in block_outcomes:
-        items.extend(outcome.response.membership_items)
+    items = [
+        (_result_prime(batched.params, result), result.witness.value)
+        for outcome in block_outcomes
+        for result in outcome.response.results
+    ]
 
     def naive() -> bool:
         return all(modmath.powmod(w, p, modulus) == ads for p, w in items)
@@ -123,6 +125,7 @@ def main() -> int:
     assert naive() and folded(), (
         "batched self-check verdict must equal the per-item AND"
     )
+    counters = REGISTRY.snapshot()["counters"]  # batch_verify.*: the one fold above
     naive_s, _ = time_call(lambda: [naive() for _ in range(KERNEL_REPEATS)])
     folded_s, _ = time_call(lambda: [folded() for _ in range(KERNEL_REPEATS)])
 

@@ -6,13 +6,15 @@ three things:
 
 * **packing** — :meth:`seal_block` drains the mempool (fee order, per-sender
   nonce order, block gas budget) and seals one block;
-* **replay state** — before the first transaction of every block it takes a
-  :meth:`~repro.blockchain.chain.Blockchain.state_checkpoint`, and keeps a
-  bounded journal of ``(checkpoint, executed calls)`` per sealed block;
+* **the replay journal** — before the first transaction of every block it
+  takes a :meth:`~repro.blockchain.chain.Blockchain.mark` in the chain's
+  undo log, and keeps a bounded journal of ``(mark, executed calls)`` per
+  sealed block; it holds the oldest journaled mark, so the undo log keeps
+  at most :data:`MAX_JOURNAL` blocks of writes;
 * **chain faults** — with a :class:`~repro.chaos.faults.ChainFaultPlan`
   attached, every sealed block draws a reorg decision: on a hit the last
   ``d`` builder-produced blocks are orphaned, state rewinds to the earliest
-  popped checkpoint, and the orphaned transactions re-execute in their
+  popped block's mark, and the orphaned transactions re-execute in their
   original order into replacement blocks.
 
 Execution is deterministic, so replay reproduces every receipt bit for bit
@@ -44,8 +46,8 @@ from .contract import Contract
 from .mempool import DEFAULT_GAS_PRICE, Mempool, PendingCall
 from .transaction import Receipt
 
-#: Journal depth: reorgs deeper than this are clamped (checkpoints beyond
-#: it are pruned).  Far above any profile's ``reorg_depth_max``.
+#: Journal depth: reorgs deeper than this are clamped (older blocks' marks
+#: are released).  Far above any profile's ``reorg_depth_max``.
 MAX_JOURNAL = 8
 
 
@@ -65,9 +67,9 @@ class ExecutedCall:
 
 @dataclass
 class BlockRecord:
-    """Journal entry: the state before one block plus what it executed."""
+    """Journal entry: the undo-log mark before one block plus what it executed."""
 
-    checkpoint: dict
+    mark: int
     calls: list[ExecutedCall] = field(default_factory=list)
     block: Block | None = None
 
@@ -99,8 +101,14 @@ class BlockBuilder:
                 raise BlockchainError(
                     "transactions executed outside the builder while in block mode"
                 )
-            self._open = BlockRecord(checkpoint=self.chain.state_checkpoint())
+            self._open = BlockRecord(mark=self.chain.mark())
+            self._hold()
         return self._open
+
+    def _hold(self) -> None:
+        """Hold the oldest mark a reorg may still rewind to."""
+        oldest = self._journal[0] if self._journal else self._open
+        self.chain.hold(None if oldest is None else oldest.mark)
 
     def execute_now(
         self,
@@ -205,6 +213,7 @@ class BlockBuilder:
         self._journal.append(record)
         del self._journal[:-MAX_JOURNAL]
         self._open = None
+        self._hold()
         perfstats.incr("blocks.sealed")
         perfstats.incr("blocks.settlements", len(taken))
         if not block.transactions:
@@ -220,8 +229,8 @@ class BlockBuilder:
     def _reorg(self, depth: int) -> None:
         """Orphan the last ``depth`` builder blocks and replay them.
 
-        Pops the blocks, rewinds world state to the checkpoint taken before
-        the earliest of them, then re-executes every orphaned call in its
+        Pops the blocks, rewinds world state to the mark taken before the
+        earliest of them, then re-executes every orphaned call in its
         original order, re-sealing at the same block boundaries.  Execution
         is deterministic, so the replayed receipts must match the orphaned
         ones exactly — a divergence means the chain simulation itself broke,
@@ -231,7 +240,7 @@ class BlockBuilder:
         del self._journal[-depth:]
         for _ in range(depth):
             self.chain.pop_block()
-        self.chain.restore_checkpoint(replay[0].checkpoint)
+        self.chain.rewind(replay[0].mark)
         self.reorgs += 1
         self.orphaned += depth
         perfstats.incr("chaos.chain.reorgs")
@@ -239,7 +248,7 @@ class BlockBuilder:
         trace.event("chain.reorg", depth=depth)
 
         for old in replay:
-            fresh = BlockRecord(checkpoint=self.chain.state_checkpoint())
+            fresh = BlockRecord(mark=self.chain.mark())
             for call in old.calls:
                 receipt = self.chain.call(
                     call.sender,
@@ -266,6 +275,7 @@ class BlockBuilder:
             fresh.block = self.chain.mine()
             self._journal.append(fresh)
         del self._journal[:-MAX_JOURNAL]
+        self._hold()
 
     @staticmethod
     def _check_replay(old: Receipt, new: Receipt) -> None:

@@ -7,6 +7,14 @@ a configured authority set, and meters every contract call with the EVM gas
 schedule.  ``verify_integrity`` re-derives every header so tests can assert
 tamper-evidence — the property the paper leans on for trusted storage of
 ``Ac`` and trusted execution of the verification.
+
+Rollback is one undo log.  Every state write — a contract storage slot, a
+balance, a nonce — appends ``(container, key, old value)``; :meth:`mark`
+names a log position and :meth:`rewind` undoes every write after it.  A
+reverted or out-of-gas call rewinds to the mark taken before its attached
+value moved, and the block builder rewinds to a block's mark on a reorg.
+Entries older than the oldest :meth:`hold` are dropped, so a chain with
+no holder keeps the log empty between transactions.
 """
 
 from __future__ import annotations
@@ -51,6 +59,12 @@ class Blockchain:
         self._pending_receipts: list[Receipt] = []
         self._sealer_addresses = [address_from_label(s) for s in self.config.sealers]
         self._clock = 0
+        #: ``(container, key, old value)`` per state write, oldest first.
+        self._undo: list[tuple[object, object, object]] = []
+        #: Log position of ``_undo[0]`` (entries before it were trimmed).
+        self._undo_base = 0
+        #: The oldest mark a holder may still rewind to, or None.
+        self._held: int | None = None
 
     # ------------------------------------------------------------ accounts
 
@@ -111,6 +125,7 @@ class Blockchain:
             + schedule.calldata_gas(data)
             + schedule.code_deposit_per_byte * contract_cls.CODE_SIZE,
             run=lambda: contract.init(*args),
+            mark=self.mark(),
         )
         receipt.contract_address = address
         if receipt.status:
@@ -118,7 +133,7 @@ class Blockchain:
             self.accounts[address] = Account(balance=0)
             if value:
                 self._move_value(sender, address, value)
-        account.nonce += 1
+        self._end_tx(account)
         return contract, receipt
 
     def call(
@@ -146,6 +161,9 @@ class Blockchain:
         schedule = self.config.gas_schedule
         meter = GasMeter(gas_limit, schedule)
 
+        # The mark precedes the attached value, so a failed call's rewind
+        # refunds it along with every write the call made.
+        mark = self.mark()
         if value:
             self._move_value(sender, target.address, value)
 
@@ -158,39 +176,31 @@ class Blockchain:
             meter,
             intrinsic=schedule.tx_base + schedule.calldata_gas(data),
             run=run,
+            mark=mark,
         )
-        if not receipt.status and value:
-            # failed calls refund the attached value (state rollback)
-            self._move_value(target.address, sender, value)
-        account.nonce += 1
+        self._end_tx(account)
         return receipt
 
-    def _execute(self, tx, contract: Contract, meter: GasMeter, intrinsic: int, run) -> Receipt:
+    def _execute(
+        self, tx, contract: Contract, meter: GasMeter, intrinsic: int, run, mark: int
+    ) -> Receipt:
         contract._begin_call(meter, tx.sender, tx.value)
-        storage_snapshot = contract._snapshot()
-        balances_snapshot = {addr: acct.balance for addr, acct in self.accounts.items()}
         receipt = Receipt(tx_hash=tx.hash(), status=True, gas_used=0)
         try:
             meter.charge(intrinsic, "intrinsic")
             receipt.return_value = run()
-        except ContractRevert as revert:
-            contract._restore(storage_snapshot)
-            self._restore_balances(balances_snapshot)
-            receipt.status = False
-            receipt.revert_reason = revert.reason
-        except OutOfGasError as oog:
-            contract._restore(storage_snapshot)
-            self._restore_balances(balances_snapshot)
-            receipt.status = False
-            receipt.revert_reason = str(oog)
-            meter.used = meter.limit
         except Exception as fault:  # noqa: BLE001 - EVM semantics: any fault reverts
             # A real VM turns malformed input / internal faults into a revert
             # (invalid opcode); the chain must never crash on bad calldata.
-            contract._restore(storage_snapshot)
-            self._restore_balances(balances_snapshot)
+            self.rewind(mark)
             receipt.status = False
-            receipt.revert_reason = f"execution fault: {type(fault).__name__}: {fault}"
+            if isinstance(fault, ContractRevert):
+                receipt.revert_reason = fault.reason
+            elif isinstance(fault, OutOfGasError):
+                receipt.revert_reason = str(fault)
+                meter.used = meter.limit
+            else:
+                receipt.revert_reason = f"execution fault: {type(fault).__name__}: {fault}"
         finally:
             receipt.logs = contract._end_call() if receipt.status else []
             receipt.gas_used = meter.used
@@ -199,66 +209,77 @@ class Blockchain:
             self._pending_receipts.append(receipt)
         return receipt
 
-    def _restore_balances(self, snapshot: dict[bytes, int]) -> None:
-        for address, balance in snapshot.items():
-            self.accounts[address].balance = balance
-        for address in list(self.accounts):
-            if address not in snapshot:
-                self.accounts[address].balance = 0
-
     def _move_value(self, sender: bytes, to: bytes, amount: int) -> None:
         if amount < 0:
             raise InsufficientFundsError("negative value transfer")
-        self._account(sender).debit(amount)
-        self._account(to).credit(amount)
+        source, dest = self._account(sender), self._account(to)
+        undo = [(source, "balance", source.balance), (dest, "balance", dest.balance)]
+        source.debit(amount)  # raises before writing when short
+        dest.credit(amount)
+        self._undo += undo
+
+    def _end_tx(self, account: Account) -> None:
+        """Bump the sender's nonce; the transaction's writes leave the log
+        unless a holder keeps them."""
+        self._undo.append((account, "nonce", account.nonce))
+        account.nonce += 1
+        self._trim()
 
     def _contract_transfer(self, contract_addr: bytes, to: bytes, amount: int) -> None:
         """Value transfer initiated by contract code (escrow payouts)."""
         self._move_value(contract_addr, to, amount)
 
-    # ----------------------------------------------------------- reorg state
+    # ------------------------------------------------------------- undo log
 
-    def state_checkpoint(self) -> dict:
-        """Capture world state (balances, nonces, contract storage).
+    def _record(self, storage: dict, slot: bytes, old: bytes | None) -> None:
+        """Journal one contract storage write; ``old`` None: slot was absent."""
+        self._undo.append((storage, slot, old))
 
-        The block builder snapshots this before sealing so a reorg can
-        rewind to the pre-block state and deterministically re-execute the
-        orphaned transactions.  The block clock is deliberately *not*
-        captured: timestamps stay monotonic across reorgs, which is what
-        gives replacement blocks distinct hashes.
+    def mark(self) -> int:
+        """The current undo-log position: :meth:`rewind` returns to it."""
+        return self._undo_base + len(self._undo)
+
+    def rewind(self, mark: int) -> None:
+        """Undo every state write made after ``mark``, newest first.
+
+        Accounts and contracts created after the mark stay in place
+        (account creation is off-chain in this simulation).  The block
+        clock is not state: timestamps stay monotonic across reorgs, which
+        is what gives replacement blocks distinct hashes.
         """
-        return {
-            "height": len(self.blocks),
-            "balances": {a: acct.balance for a, acct in self.accounts.items()},
-            "nonces": {a: acct.nonce for a, acct in self.accounts.items()},
-            "storages": {a: c._snapshot() for a, c in self.contracts.items()},
-        }
+        if mark < self._undo_base:
+            raise BlockchainError(f"undo log no longer reaches mark {mark}")
+        undo = self._undo
+        while len(undo) > mark - self._undo_base:
+            container, key, old = undo.pop()
+            if not isinstance(container, dict):
+                setattr(container, key, old)
+            elif old is None:
+                # The slot was absent: delete it rather than leave b"", so
+                # storage holds exactly what it held at the mark.
+                del container[key]
+            else:
+                container[key] = old
 
-    def restore_checkpoint(self, checkpoint: dict) -> None:
-        """Rewind world state to a :meth:`state_checkpoint`.
+    def hold(self, mark: int | None) -> None:
+        """Keep writes after ``mark`` rewindable (None: keep none); trim the rest.
 
-        Accounts and contracts created *after* the checkpoint are left in
-        place (account creation is off-chain in this simulation); pending
-        transactions staged since are dropped — the caller re-executes.
+        One holder at a time: the block builder holds its oldest journaled
+        block's mark so a reorg can rewind to it.
         """
-        for address, balance in checkpoint["balances"].items():
-            if address in self.accounts:
-                self.accounts[address].balance = balance
-        for address, nonce in checkpoint["nonces"].items():
-            if address in self.accounts:
-                self.accounts[address].nonce = nonce
-        for address, storage in checkpoint["storages"].items():
-            contract = self.contracts.get(address)
-            if contract is not None:
-                # Hand the contract a copy: the checkpoint may be restored
-                # again (deeper reorg) and live storage mutates in place.
-                contract._restore(dict(storage))
-        self._pending_txs = []
-        self._pending_receipts = []
+        self._held = mark
+        self._trim()
+
+    def _trim(self) -> None:
+        keep_from = self.mark() if self._held is None else self._held
+        drop = keep_from - self._undo_base
+        if drop > 0:
+            del self._undo[:drop]
+            self._undo_base = keep_from
 
     def pop_block(self) -> Block:
         """Orphan the tip block (reorg primitive). State is NOT rewound —
-        pair with :meth:`restore_checkpoint` and re-execution."""
+        pair with :meth:`rewind` and re-execution."""
         if not self.blocks:
             raise BlockchainError("cannot pop the genesis boundary: chain is empty")
         if self._pending_txs:

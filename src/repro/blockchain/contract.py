@@ -3,8 +3,8 @@
 Contracts are Python classes whose public methods execute inside a metered
 context: storage reads/writes, hashing, modexp and event emission all charge
 an EVM-calibrated :class:`~repro.blockchain.gas.GasSchedule` through the
-per-call :class:`GasMeter`.  The chain snapshots storage and balances before
-each call, so a :class:`~repro.common.errors.ContractRevert` (or running out
+per-call :class:`GasMeter`.  Every storage write is journaled in the chain's
+undo log, so a :class:`~repro.common.errors.ContractRevert` (or running out
 of gas) rolls back state while still consuming gas — matching EVM semantics
 closely enough for the paper's Table II to be reproduced.
 """
@@ -73,12 +73,6 @@ class Contract:
         self._meter = None
         return logs
 
-    def _snapshot(self) -> dict[bytes, bytes]:
-        return dict(self._storage)
-
-    def _restore(self, snapshot: dict[bytes, bytes]) -> None:
-        self._storage = snapshot
-
     @property
     def meter(self) -> GasMeter:
         if self._meter is None:
@@ -123,6 +117,8 @@ class Contract:
         else:
             self.meter.charge(schedule.sstore_reset * words, "sstore")
         self._warm_slots.add(slot)
+        if self.chain is not None:
+            self.chain._record(self._storage, slot, previous)
         self._storage[slot] = value
 
     def _sload_int(self, name: str) -> int:

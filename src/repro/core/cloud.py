@@ -59,15 +59,7 @@ class TokenResult:
 
 @dataclass
 class SearchResponse:
-    """Everything the cloud posts to the blockchain for one query.
-
-    Locally-produced responses additionally carry a ``membership_items``
-    attribute — the (prime, witness) pairs behind the VOs — set dynamically
-    so it never enters the wire format or dataclass equality.  Block-mode
-    settlement folds them through the trusted batch-verify kernel as the
-    cloud's self-check; responses that crossed the wire (or a merging
-    frontend) may lack it, and consumers must treat it as optional.
-    """
+    """Everything the cloud posts to the blockchain for one query."""
 
     results: list[TokenResult] = field(default_factory=list)
 
@@ -138,6 +130,10 @@ class CloudServer:
         With a segment store attached the delta is also committed as one
         immutable segment (without witnesses).
         """
+        modulus = self.params.accumulator.modulus
+        if package.witnesses and not all(0 < w < modulus for w in package.witnesses.values()):
+            # A witness congruent mod n to a valid one would pass VerifyMem.
+            raise StateError("owner witness outside [1, n)")
         self._ensure_hydrated()
         moved = package.accumulation != self.ads_value
         self.index.merge(package.index)
@@ -480,7 +476,6 @@ class CloudServer:
         response = SearchResponse(
             [TokenResult(t, c.entries, w) for (t, c), w in zip(partials, witnesses)]
         )
-        response.membership_items = list(self.last_membership_items)
         if _observe:
             self._observe_search(tokens, partials, response)
         return response
@@ -517,7 +512,6 @@ class CloudServer:
             response = SearchResponse(
                 [TokenResult(t, c.entries, w) for (t, c), w in zip(partials, witnesses)]
             )
-            response.membership_items = list(self.last_membership_items)
             if _observe:
                 self._observe_search(tokens, partials, response)
             responses.append(response)
@@ -617,11 +611,6 @@ class CloudServer:
                 if fallback is None:
                     fallback = kernels.fixed_base_pow(g, n, self._product_tree.root)
                 out.append(MembershipWitness(fallback))
-        # Remember this query's (prime, witness) pairs: block-mode settlement
-        # folds a whole block's worth through the trusted batch-verify kernel
-        # as the cloud's self-check, and capturing them here avoids re-deriving
-        # the primes (which would drift the gated hash_to_prime.* counters).
-        self.last_membership_items = [(p, w.value) for p, w in zip(primes, out)]
         return out
 
     def _lookup_witness(self, prime: int) -> int | None:

@@ -136,9 +136,9 @@ class CloudPackage:
 
     ``witnesses`` holds the owner-issued membership witness of every
     accumulated prime (all of ``X``, not just the delta) under
-    ``accumulation``, or ``None`` when the owner has no trapdoor.  They are
-    an in-process accelerator only: no snapshot, segment or wire format
-    carries them.
+    ``accumulation``, or ``None`` when the owner has no trapdoor.  The
+    shard install message carries them; no snapshot, segment or flat wire
+    install does.
     """
 
     index: EncryptedIndex
@@ -150,7 +150,7 @@ class CloudPackage:
         """The same install without owner witnesses.
 
         The cloud then serves every query with the paper's live ``MemWit``
-        (as after any wire hop) until a ``precompute_witnesses`` covers
+        (as after a flat wire install) until a ``precompute_witnesses`` covers
         the primes; an install that moves ``Ac`` empties what it held.
         """
         return CloudPackage(self.index, self.primes, self.accumulation)

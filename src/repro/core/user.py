@@ -3,8 +3,6 @@
 Users are quasi-honest (Section IV.B): they hold the shared secret keys and
 generate correct tokens, but may *deny* correct results to dodge search fees
 — which is exactly why verification runs on chain instead of at the user.
-This class still exposes :meth:`verify_locally` so the fairness comparison
-(and older-scheme baselines) can be demonstrated.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from .owner import UserPackage
 from .params import SlicerParams
 from .query import Query
 from .tokens import SearchToken, generate_search_tokens
-from .verify import VerificationReport, verify_response
 
 
 class DataUser:
@@ -75,7 +72,3 @@ class DataUser:
                 raise StateError("decrypted record has unexpected length")
             out.add(plaintext)
         return out
-
-    def verify_locally(self, response: SearchResponse) -> VerificationReport:
-        """The legacy local-verification mode (no fairness guarantee)."""
-        return verify_response(self.params, self._ads_value, response)

@@ -185,7 +185,6 @@ class MetricsRegistry:
             "batch_verify.",
             "mempool.",
             "blocks.",
-            "blockmode.",
             "light_client.",
             "segstore.",
             "cloud.restore.",
@@ -200,18 +199,16 @@ class MetricsRegistry:
         Topology-shaped counters are excluded the same way: ``shard.*``
         (routing/scatter bookkeeping only exists on a sharded tier),
         the witness self-check (``cloud.witness_cache.selfcheck``),
-        ``cloud.owner_witness.*`` (owner witnesses reach a cloud only on
-        direct in-process installs, never after a wire hop),
+        ``cloud.owner_witness.*`` (owner witnesses reach a cloud on direct
+        and shard-package installs, never through the flat wire install),
         ``fixed_base.*``, the owner's ``comb.*`` tables
         and the whole ``multi_exp.*`` /
         ``batch_verify.*`` families all count *per-serving-instance* events —
         N shards each derive their own witness bases and self-check their
-        own caches, and block-mode settlement runs extra trusted batch
-        folds — so these scale with the deployment shape, not with
+        own caches — so these scale with the deployment shape, not with
         protocol work.  Settlement-delivery machinery is excluded the same
-        way: ``mempool.*``, ``blocks.*``, ``blockmode.*`` and
-        ``light_client.*`` only tick in block-settlement deployments,
-        while the *outcomes* they deliver (contract settle counts, gas
+        way: ``mempool.*``, ``blocks.*`` and ``light_client.*`` only tick
+        in block-settlement deployments, while the *outcomes* they deliver (contract settle counts, gas
         histograms, audit counts) stay in and must equal the synchronous
         path bit for bit.  Durability machinery is deployment-shaped too:
         ``segstore.*`` (segment appends/replays/checkpoints only tick when

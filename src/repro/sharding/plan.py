@@ -106,7 +106,13 @@ class ShardPackage:
 
 
 def dump_shard_package(pkg: ShardPackage) -> bytes:
-    """Wire/snapshot encoding: the owner->shard install message."""
+    """Wire/snapshot encoding: the owner->shard install message.
+
+    The owner-issued witnesses travel as one ``prime -> witness`` mapping
+    (empty without them); the shard still checks each with ``VerifyMem``
+    before its first serve.
+    """
+    witnesses = pkg.package.witnesses or {}
     return codec.pack(
         _KIND_SHARD_PACKAGE,
         codec.encode_int(pkg.shard_id),
@@ -114,18 +120,27 @@ def dump_shard_package(pkg: ShardPackage) -> bytes:
             pkg.package.index, list(pkg.package.primes), pkg.package.accumulation
         ),
         state_io.dump_primes(list(pkg.local_primes)),
+        codec.encode_mapping(
+            {codec.encode_int(p): codec.encode_int(w) for p, w in witnesses.items()}
+        ),
     )
 
 
 def load_shard_package(blob: bytes) -> ShardPackage:
     try:
-        sid_blob, state_blob, local_blob = codec.unpack(blob, _KIND_SHARD_PACKAGE)
+        sid_blob, state_blob, local_blob, witness_blob = codec.unpack(
+            blob, _KIND_SHARD_PACKAGE
+        )
+        witnesses = {
+            codec.decode_int(p): codec.decode_int(w)
+            for p, w in codec.decode_mapping(witness_blob).items()
+        }
     except (ParameterError, ValueError) as exc:
         raise StateError(f"cannot load shard package: {exc}") from exc
     index, primes, ads_value = state_io.load_cloud_state(state_blob)
     return ShardPackage(
         shard_id=codec.decode_int(sid_blob),
-        package=CloudPackage(index, primes, ads_value),
+        package=CloudPackage(index, primes, ads_value, witnesses or None),
         local_primes=state_io.load_primes(local_blob),
     )
 

@@ -77,7 +77,6 @@ from .chaos import (
 from .common import perfstats
 from .common.encoding import encode_uint
 from .common.errors import RetryExhausted, StateError, TransientChainError
-from .crypto import kernels
 from .obs import audit as obs_audit
 from .obs import metrics, trace
 from .obs.audit import VERDICT_DEGRADED, VERDICT_PAID, VERDICT_REFUNDED
@@ -615,7 +614,6 @@ class SlicerSystem:
                     tx_id=tx_id,
                 )
                 tx_ids.append(tx_id)
-            self._fold_membership_checks([response for _, response, _ in staged])
             rounds = 0
             while not all(tx_id in builder.receipts for tx_id in tx_ids):
                 if rounds == MAX_SETTLE_ROUNDS:
@@ -798,37 +796,6 @@ class SlicerSystem:
             self.builder.seal_block()
         else:
             self.chain.mine()
-
-    def _fold_membership_checks(self, responses: list[SearchResponse]) -> None:
-        """Trusted self-check: fold one settle round's membership checks
-        through the batched kernel.
-
-        The per-token *untrusted* verification stays per-item inside the
-        contract (``batch_verify_membership`` is complete but not
-        adversarially sound — see its docstring); this fold is the cloud
-        double-checking what it shipped, one ``multi_exp`` pass for the
-        whole round instead of one pow per witness.  Responses that crossed
-        a wire boundary or a sharded frontend don't carry their captured
-        ``membership_items``; the fold is skipped (counted) rather than
-        re-deriving primes, which would drift the gated ``hash_to_prime.*``
-        counters.
-        """
-        items: list[tuple[int, int]] = []
-        for response in responses:
-            captured = getattr(response, "membership_items", None)
-            if captured is None:
-                perfstats.incr("blockmode.selfcheck.skipped")
-                return
-            items.extend(captured)
-        if not items:
-            perfstats.incr("blockmode.selfcheck.skipped")
-            return
-        ok = kernels.batch_verify_membership(
-            self.params.accumulator.modulus, self.cloud.ads_value, items
-        )
-        perfstats.incr("blockmode.selfcheck.pass" if ok else "blockmode.selfcheck.fail")
-        perfstats.incr("blockmode.selfcheck.items", len(items))
-        trace.event("blockmode.selfcheck", ok=ok, items=len(items))
 
     def settlement_proof(self, outcome: SearchOutcome) -> SettlementProof:
         """Build the light-client proof that ``outcome``'s verdict settled.

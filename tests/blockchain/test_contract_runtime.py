@@ -29,6 +29,10 @@ class Vault(Contract):
     def withdraw_to(self, to: bytes, amount: int) -> None:
         self._transfer(to, amount)
 
+    def withdraw_then_fail(self, to: bytes, amount: int) -> None:
+        self._transfer(to, amount)
+        self._require(False, "payout reverted")
+
     def burn_gas(self) -> None:
         for i in range(10_000):
             self._keccak(b"x" * 32)
@@ -85,6 +89,16 @@ class TestRevertSemantics:
         assert not receipt.status
         assert chain.balance(alice) == before  # value returned
         assert chain.balance(rej.address) == 0
+
+    def test_payout_rolled_back_on_revert(self, world):
+        chain, alice, vault = world
+        bob = chain.create_account("bob", 0)
+        chain.call(alice, vault, "deposit", value=100)
+        receipt = chain.call(alice, vault, "withdraw_then_fail", (bob, 60))
+        assert not receipt.status
+        assert receipt.revert_reason == "payout reverted"
+        assert chain.balance(bob) == 0
+        assert chain.balance(vault.address) == 100
 
     def test_logs_dropped_on_revert(self, world):
         chain, alice, vault = world

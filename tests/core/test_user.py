@@ -8,6 +8,7 @@ from repro.core.cloud import CloudServer
 from repro.core.query import Query, Range
 from repro.core.records import Database, encode_record_id, make_database
 from repro.core.user import DataUser
+from repro.core.verify import verify_response
 from repro.planner import compile_plan
 from repro.system import PlanOutcome
 
@@ -51,7 +52,7 @@ class TestDecryption:
     def test_local_verification_mode(self, world, tparams):
         _, cloud, user, _ = world
         response = cloud.search(user.make_tokens(Query.parse(11, "=")))
-        assert user.verify_locally(response).ok
+        assert verify_response(tparams, user.ads_value, response).ok
 
 
 class TestRefresh:

@@ -53,7 +53,6 @@ PAYMENT = 5000
 COUNTER_PREFIXES = (
     "audit.",
     "batch.",
-    "blockmode.",
     "blocks.",
     "chaos.",
     "contract.",

@@ -9,8 +9,8 @@ The tentpole invariance, asserted across the execution-shape grid:
 * **counters** — the deterministic counter snapshot is identical across
   modes: block production moves *when* a settlement lands, never how much
   protocol work or gas it takes (``mempool.*``/``blocks.*``/
-  ``blockmode.*``/``light_client.*`` delivery machinery is excluded at the
-  source, like ``shard.*`` before it);
+  ``light_client.*`` delivery machinery is excluded at the source, like
+  ``shard.*`` before it);
 * **fault determinism** — the same seed yields a bit-identical
   ``ChainFaultPlan.history`` run to run, and enabling chain faults leaves
   the *transport* fault schedule untouched (independent RNG streams);

@@ -4,6 +4,9 @@ import dataclasses
 
 import pytest
 
+from repro import system as system_module
+from repro.chaos import ChaosTransport, FaultPlan, profile_named
+from repro.common import perfstats
 from repro.common.encoding import encode_parts, encode_uint
 from repro.common.errors import ParameterError, StateError
 from repro.common.rng import default_rng
@@ -12,9 +15,11 @@ from repro.core.cloud import CloudServer
 from repro.core.query import Query
 from repro.core.records import make_database
 from repro.core.user import DataUser
-from repro.core.verify import verify_response
+from repro.core.verify import _result_prime, verify_response
 from repro.sharding import HashShardPlan, ShardedCloudFrontend
+from repro.sharding import plan as plan_module
 from repro.storage.segment_store import SegmentStore
+from repro.system import SlicerSystem
 
 VALUES = [7, 7, 9, 40, 41, 64, 3, 200]
 QUERIES = [Query.parse(7, "="), Query.parse(40, ">"), Query.parse(64, "<")]
@@ -194,3 +199,69 @@ class TestInstallValidation:
         )
         with pytest.raises(ParameterError):
             frontend.install_shards(out.shard_packages)
+
+    @pytest.mark.parametrize("bad", ["zero", "modulus"])
+    def test_witness_outside_modulus_refused(self, tparams, owner_factory, session_keys, bad):
+        """A witness congruent mod n to a valid one would pass VerifyMem."""
+        plan = HashShardPlan(4)
+        owner = owner_factory(tparams)
+        owner.shard_plan = plan
+        pkg = owner.build(database(VALUES)).shard_packages[0]
+        prime, witness = next(iter(pkg.package.witnesses.items()))
+        forged = 0 if bad == "zero" else witness + tparams.accumulator.modulus
+        package = dataclasses.replace(pkg.package, witnesses={prime: forged})
+        frontend = ShardedCloudFrontend(tparams, session_keys.trapdoor.public, plan)
+        with pytest.raises(StateError):
+            frontend.install_shard(dataclasses.replace(pkg, package=package))
+
+
+class TestShardPackageWitnesses:
+    """Chaos-wire shard installs (every insert) carry the owner's witnesses."""
+
+    @staticmethod
+    def _system(tparams, owner_factory):
+        system = SlicerSystem(
+            tparams,
+            rng=default_rng(5),
+            owner=owner_factory(tparams),
+            shards=4,
+            transport=ChaosTransport(FaultPlan(profile_named("clean"), seed=1)),
+        )
+        system.setup(database(VALUES))
+        system.insert(database([7, 130], start=100))  # moves Ac: a full re-issue
+        return system
+
+    def test_wire_install_serves_owner_witnesses(self, tparams, owner_factory, witness_work):
+        system = self._system(tparams, owner_factory)
+        checked = perfstats.get("cloud.owner_witness.checked")
+        outcome = system.search(QUERIES[0])
+        assert outcome.verified
+        assert perfstats.get("cloud.owner_witness.checked") > checked
+        assert witness_work.memwit == 0  # no live MemWit
+
+    def test_tampered_witness_rejected_then_search_pays(
+        self, tparams, owner_factory, monkeypatch
+    ):
+        # The honest twin names the prime the query's first token binds to.
+        twin = self._system(tparams, owner_factory)
+        target = _result_prime(tparams, twin.search(QUERIES[0]).response.results[0])
+        modulus = tparams.accumulator.modulus
+        real_dump = plan_module.dump_shard_package
+
+        def tampering_dump(pkg):
+            witnesses = pkg.package.witnesses
+            if target in witnesses:  # negate: still in [1, n), fails VerifyMem
+                witnesses = {**witnesses, target: modulus - witnesses[target]}
+            return real_dump(
+                dataclasses.replace(
+                    pkg, package=dataclasses.replace(pkg.package, witnesses=witnesses)
+                )
+            )
+
+        monkeypatch.setattr(system_module, "dump_shard_package", tampering_dump)
+        system = self._system(tparams, owner_factory)
+        rejected = perfstats.get("cloud.owner_witness.rejected")
+        outcome = system.search(QUERIES[0])
+        assert perfstats.get("cloud.owner_witness.rejected") == rejected + 1
+        assert outcome.verified and outcome.settle_receipt.return_value is True
+        assert system.balances() == twin.balances()

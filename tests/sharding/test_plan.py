@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.encoding import encode_parts
 from repro.common.errors import ParameterError, StateError
 from repro.common.rng import default_rng
 from repro.core.keywords import equality_keyword
@@ -20,6 +21,7 @@ from repro.sharding.plan import (
     route_tokens,
     split_package,
 )
+from repro.storage import codec
 
 RNG = default_rng(404)
 
@@ -149,6 +151,33 @@ class TestShardPackageWire:
         assert loaded.package.primes == [101, 103]
         assert loaded.package.accumulation == 7
         assert loaded.local_primes == [103]
+
+    def test_roundtrip_keeps_owner_witnesses(self):
+        pkg = ShardPackage(
+            shard_id=0,
+            package=CloudPackage(EncryptedIndex(), [101, 103], 7, {101: 5, 103: 2**70}),
+            local_primes=[101, 103],
+        )
+        loaded = load_shard_package(dump_shard_package(pkg))
+        assert loaded.package.witnesses == {101: 5, 103: 2**70}
+
+    def test_roundtrip_without_witnesses(self):
+        pkg = ShardPackage(0, CloudPackage(EncryptedIndex(), [101], 7), [101])
+        assert load_shard_package(dump_shard_package(pkg)).package.witnesses is None
+
+    def test_malformed_sections_raise_state_error(self):
+        good = ShardPackage(0, CloudPackage(EncryptedIndex(), [101], 7, {101: 5}), [101])
+        parts = codec.unpack(dump_shard_package(good), b"shard-package")
+        odd_mapping = encode_parts(b"\x65")  # a key with no witness
+        for blob in (
+            codec.pack(b"shard-package", *parts[:3]),  # pre-witness layout
+            codec.pack(b"shard-package", *parts[:3], odd_mapping),
+            codec.pack(b"shard-package", *parts[:3], b"\xff"),  # not a part list
+            codec.pack(b"shard-package", parts[0], b"junk", *parts[2:]),
+            dump_shard_package(good)[:-3],  # truncated
+        ):
+            with pytest.raises(StateError):
+                load_shard_package(blob)
 
 
 class TestEqualityRoute:
