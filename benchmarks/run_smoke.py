@@ -5,7 +5,8 @@ Each row of :data:`CELLS` runs one small end-to-end flow (Build / Search
 / Insert, settle, verify against ``Ac``), asserts its own invariants
 (every search verified, oracle-exact answers, byte-identical repeats)
 and then compares named sections of its report *exactly* against a
-committed baseline under ``reports/``.  Everything compared is
+committed baseline under ``reports/``; a cell that writes an audit log
+also compares it byte for byte with the committed ``AUDIT_*.jsonl``.  Everything compared is
 machine-independent: deterministic counters, value-histograms and
 settlement-ledger totals are a pure function of the seeds, so there is
 no tolerance band and no wall-clock gate — any drift is a behaviour
@@ -132,7 +133,9 @@ def plain(out: pathlib.Path, shards: int) -> Report:
 
     Behind ``shards > 1`` the same flow is served by a sharded
     scatter/gather tier: it partitions protocol work without changing it,
-    so the recorded snapshot must equal the single-cloud baseline.
+    so the recorded snapshot must equal the single-cloud baseline.  The
+    tier has no precompute step; owner witnesses already cover every
+    prime, so the single cloud's precompute does no counted work either.
     """
     name = "smoke" if shards == 1 else f"smoke_{shards}shard"
     s = _setup(out, name)
@@ -167,8 +170,10 @@ def plain(out: pathlib.Path, shards: int) -> Report:
         "warm repeat search drifted from the cold response"
     )
 
-    precompute_s, count = time_call(cloud.precompute_witnesses)
-    assert count == cloud.prime_count
+    precompute_s = 0.0
+    if shards == 1:
+        precompute_s, count = time_call(cloud.precompute_witnesses)
+        assert count == cloud.prime_count
 
     add = s.generator.database(WorkloadSpec(N_INSERT, BITS))
     insert_s, inserted = time_call(lambda: owner.insert(add))
@@ -578,6 +583,8 @@ class Cell:
     args: dict
     baseline: str
     sections: tuple[str, ...]
+    #: The committed audit log the fresh one must equal byte for byte.
+    audit: str | None = None
 
 
 _EXACT = ("counters", "histograms")
@@ -591,6 +598,7 @@ CELLS = (
         {"seed": 7, "profile": "lossy"},
         "BENCH_chaos.json",
         ("chaos", "counters"),
+        "AUDIT_chaos.jsonl",
     ),
     Cell(
         "settlement-sync",
@@ -598,6 +606,7 @@ CELLS = (
         {"mode": "sync"},
         "BENCH_settlement_sync.json",
         _EXACT + ("settlement",),
+        "AUDIT_settlement_sync.jsonl",
     ),
     Cell(
         "settlement-block",
@@ -605,9 +614,17 @@ CELLS = (
         {"mode": "block"},
         "BENCH_settlement_sync.json",
         _EXACT + ("settlement",),
+        "AUDIT_settlement_block.jsonl",
     ),
     Cell("restart", restart, {}, "BENCH_warm_restart.json", _EXACT + ("restart_leg",)),
-    Cell("range", range_plans, {}, "BENCH_range.json", ("planner",) + _EXACT),
+    Cell(
+        "range",
+        range_plans,
+        {},
+        "BENCH_range.json",
+        ("planner",) + _EXACT,
+        "AUDIT_range.jsonl",
+    ),
 )
 
 
@@ -624,13 +641,26 @@ def _drift(baseline: dict, fresh: dict, sections: tuple[str, ...]) -> list[str]:
     return drifted
 
 
+def _audit_drift(baseline: list[str], fresh: list[str], name: str) -> list[str]:
+    """One ``name:line N`` per audit record that differs or exists on one side."""
+    return [
+        f"{name}:line {i + 1}"
+        for i in range(max(len(baseline), len(fresh)))
+        if baseline[i : i + 1] != fresh[i : i + 1]
+    ]
+
+
 def gate(name: str, out: pathlib.Path = DEFAULT_OUT) -> list[str]:
     """Run one cell, write its fresh report under ``out``, return its drift."""
     cell = next(c for c in CELLS if c.name == name)
-    # Read first: with --out pointing at the baselines, the run rewrites it.
+    # Read first: with --out pointing at the baselines, the run rewrites them.
     baseline = json.loads((BASELINES / cell.baseline).read_text())
+    audit = (BASELINES / cell.audit).read_text().splitlines() if cell.audit else []
     fresh = _write(out, cell.flow(out, **cell.args))
-    return _drift(baseline, fresh, cell.sections)
+    drift = _drift(baseline, fresh, cell.sections)
+    if cell.audit:
+        drift += _audit_drift(audit, (out / cell.audit).read_text().splitlines(), cell.audit)
+    return drift
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -651,10 +681,13 @@ def main(argv: list[str] | None = None) -> int:
         summary[cell.name] = {
             "baseline": cell.baseline,
             "sections": list(cell.sections),
+            "audit": cell.audit,
             "drifted": drifted,
         }
     for name, row in summary.items():
         compared = f"{', '.join(row['sections'])} vs {row['baseline']}"
+        if row["audit"]:
+            compared += f" + {row['audit']}"
         print(f"{name:<17} {'DRIFTED' if row['drifted'] else 'ok':<8} {compared}")
         for key in row["drifted"]:
             print(f"    {key}")

@@ -4,9 +4,9 @@ injection on the ``user → contract``, ``contract → cloud``,
 retry/timeout/backoff machinery that survives it.
 
 Opt-in only: construct a :class:`ChaosTransport` and hand it to
-:class:`~repro.system.SlicerSystem`, or export ``REPRO_CHAOS=1``.  With no
-transport (the default) nothing here runs and the direct in-process path is
-byte-identical to before this package existed.
+:class:`~repro.system.SlicerSystem`.  With no transport (the default)
+nothing here runs and the direct in-process path is byte-identical to
+before this package existed.
 """
 
 from .faults import (
@@ -29,7 +29,6 @@ from .transport import (
     OWNER_TO_CONTRACT,
     USER_TO_CONTRACT,
     ChaosTransport,
-    chaos_enabled,
     shard_channel,
 )
 
@@ -46,7 +45,6 @@ __all__ = [
     "profile_named",
     "RetryPolicy",
     "ChaosTransport",
-    "chaos_enabled",
     "USER_TO_CONTRACT",
     "CONTRACT_TO_CLOUD",
     "CLOUD_TO_CONTRACT",

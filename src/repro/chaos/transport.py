@@ -32,7 +32,6 @@ sleeps): chaos runs are as fast as clean ones and fully deterministic.
 from __future__ import annotations
 
 import hashlib
-import os
 
 from ..common import perfstats
 from ..common.encoding import decode_parts, encode_parts
@@ -59,15 +58,6 @@ def shard_channel(base: str, shard_id: int) -> str:
     never consumes another shard's (or the unsharded channel's) fault draws.
     """
     return f"{base}#shard{shard_id}"
-
-
-def chaos_enabled() -> bool:
-    """``REPRO_CHAOS=1`` opts benchmarks/systems into a default chaos transport.
-
-    The default (``0``/unset) leaves every existing code path byte-identical:
-    no transport is constructed, no RNG is consumed, no counter is touched.
-    """
-    return os.environ.get("REPRO_CHAOS", "0").lower() not in ("", "0", "false", "no")
 
 
 def frame(payload: bytes) -> bytes:
@@ -112,16 +102,6 @@ class ChaosTransport:
     @classmethod
     def for_profile(cls, name: str, seed: int = _DEFAULT_SEED) -> "ChaosTransport":
         return cls(FaultPlan(profile_named(name), seed))
-
-    @classmethod
-    def from_env(cls) -> "ChaosTransport":
-        """Profile/seed from ``REPRO_CHAOS_PROFILE`` / ``REPRO_CHAOS_SEED``."""
-        name = os.environ.get("REPRO_CHAOS_PROFILE", "lossy")
-        try:
-            seed = int(os.environ.get("REPRO_CHAOS_SEED", str(_DEFAULT_SEED)), 0)
-        except ValueError as exc:
-            raise ParameterError(f"REPRO_CHAOS_SEED must be an integer: {exc}") from exc
-        return cls.for_profile(name, seed)
 
     # ----------------------------------------------------------- the clock
 

@@ -107,25 +107,18 @@ class CloudServer:
         #: False between reopen() and the first state access: segments are
         #: replayed lazily so a restarted-but-idle cloud costs nothing.
         self._hydrated = True
-        #: Shard-local witness primes recovered from replayed segments —
-        #: what a sharded frontend rebuilds its routing bookkeeping from.
-        self._store_local_primes: dict[int, None] = {}
         #: Phase timings ("results" / "vo") for the Fig. 5 benches.
         self.stopwatch = Stopwatch()
 
     # ---------------------------------------------------------------- setup
 
-    def install(self, package: CloudPackage, witness_primes: list[int] | None = None) -> None:
+    def install(self, package: CloudPackage) -> None:
         """Receive ``(I, X, Ac)`` from the owner (Build or Insert delta).
 
         An install that moves ``Ac`` empties the witness map; the package's
         owner-issued witnesses, if any, fill it again.  Primes left
         uncovered are served by the cloud-side ``MemWit`` per query until a
         :meth:`precompute_witnesses` covers them.
-
-        ``witness_primes`` names the delta's primes this cloud owns (a
-        shard's *local* keywords); the segment store records them so a
-        reopened sharded tier can rebuild its routing bookkeeping.
 
         With a segment store attached the delta is also committed as one
         immutable segment (without witnesses).
@@ -144,21 +137,15 @@ class CloudServer:
         self.ads_value = package.accumulation
         if self._store is not None:
             self._store.append(
-                dict(package.index.entries),
-                list(package.primes),
-                package.accumulation,
-                local_primes=witness_primes,
+                dict(package.index.entries), list(package.primes), package.accumulation
             )
-            if witness_primes is not None:
-                for prime in witness_primes:
-                    self._store_local_primes[prime] = None
         if moved:
             self._witnesses, self._checked = {}, set()
         if package.witnesses:
             self._witnesses.update(package.witnesses)
             self._checked.difference_update(package.witnesses)
 
-    def precompute_witnesses(self, primes: list[int] | None = None) -> int:
+    def precompute_witnesses(self) -> int:
         """Have a witness ready for every accumulated prime.
 
         Primes with an owner-issued witness are already covered; the rest
@@ -166,22 +153,13 @@ class CloudServer:
         exponentiations for ``k`` uncovered primes), traded for
         near-zero VO-generation latency per query until ``Ac`` moves.
         Returns the number of covered primes.
-
-        ``primes`` restricts the batch to a subset of the accumulated set (a
-        shard precomputes its local keywords only).  Witnesses are
-        full-product values whichever subset is computed, so per-shard
-        precomputes across a tier partition the single-cloud one exactly.
         """
         self._ensure_hydrated()
-        if primes is None:
-            subset = list(self._primes)
-        else:
-            subset = [p for p in primes if p in self._primes]
-        computed = self._root_witnesses([p for p in subset if p not in self._witnesses])
+        computed = self._root_witnesses([p for p in self._primes if p not in self._witnesses])
         self._self_check(computed)
         self._witnesses.update(computed)
         self._checked.update(computed)
-        return len(subset)
+        return len(self._primes)
 
     def _root_witnesses(self, subset: list[int]) -> dict[int, int]:
         """Cloud-side ``MemWit`` for ``subset``: the paper's ``g^(prod(X)/x)``.
@@ -325,7 +303,6 @@ class CloudServer:
         store = segment_store.SegmentStore.open(path, plan=plan_tag)
         self._reset_state()
         self._entry_cache = EntryCache()
-        self._store_local_primes = {}
         self.ads_value = store.ads_value
         self._store = store
         self._hydrated = False
@@ -390,9 +367,6 @@ class CloudServer:
                     self._primes[prime] = None
                 self._product_tree.extend(fresh)
                 self.ads_value = segment.ads_value
-                if segment.local_primes is not None:
-                    for prime in segment.local_primes:
-                        self._store_local_primes[prime] = None
             self._load_warm()
         perfstats.incr("segstore.rehydrations")
 

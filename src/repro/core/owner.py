@@ -66,15 +66,15 @@ class OwnerOutput:
     accumulation value for the blockchain, and the refreshed user package.
 
     With a sharded serving tier the owner additionally pre-splits the delta
-    (``shard_packages``, one per shard): routing needs ``G1``, which only
-    the owner sees next to each index entry — PRF labels are one-way, so
-    the tier cannot split a flat package itself.
+    (``shard_packages``, one per shard, indexed by shard id): routing needs
+    ``G1``, which only the owner sees next to each index entry — PRF labels
+    are one-way, so the tier cannot split a flat package itself.
     """
 
     cloud_package: CloudPackage
     chain_ads: int
     user_package: UserPackage
-    shard_packages: list | None = None
+    shard_packages: list[CloudPackage] | None = None
 
 
 class DataOwner:
@@ -252,11 +252,11 @@ class DataOwner:
         return staged
 
     def _split_for_shards(self, package: CloudPackage, staged):
-        """Route each keyword's entries/prime to its home shard.
+        """Route each keyword's entries and witnesses to its home shard.
 
-        ``staged`` and ``package.primes`` are parallel arrays in keyword
-        order, so the split is a pure regrouping of the exact bytes the flat
-        package carries — shard slices merged back together equal the flat
+        ``staged`` holds each keyword's entries in keyword order, so the
+        split is a pure regrouping of the exact bytes the flat package
+        carries — shard slices merged back together equal the flat
         index, and every shard still receives the full delta prime list
         (see :mod:`repro.sharding.plan`).
         """
@@ -265,10 +265,7 @@ class DataOwner:
         from ..sharding.plan import split_package  # local: sharding builds on core
 
         plan = self.shard_plan
-        routed = [
-            (plan.shard_of(g1), entries, prime)
-            for (g1, entries, _, _), prime in zip(staged, package.primes)
-        ]
+        routed = [(plan.shard_of(g1), entries) for g1, entries, _, _ in staged]
         witnesses = None
         if package.witnesses is not None:
             # Witnesses cover all of X, so each goes to the home shard of

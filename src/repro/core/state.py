@@ -137,8 +137,8 @@ class CloudPackage:
     ``witnesses`` holds the owner-issued membership witness of every
     accumulated prime (all of ``X``, not just the delta) under
     ``accumulation``, or ``None`` when the owner has no trapdoor.  The
-    shard install message carries them; no snapshot, segment or flat wire
-    install does.
+    install message (``state_io.dump_cloud_package``, flat or per shard)
+    carries them; snapshots and segments do not.
     """
 
     index: EncryptedIndex
@@ -150,8 +150,9 @@ class CloudPackage:
         """The same install without owner witnesses.
 
         The cloud then serves every query with the paper's live ``MemWit``
-        (as after a flat wire install) until a ``precompute_witnesses`` covers
-        the primes; an install that moves ``Ac`` empties what it held.
+        (as after a restore or a cold segment replay) until a
+        ``precompute_witnesses`` covers the primes; an install that moves
+        ``Ac`` empties what it held.
         """
         return CloudPackage(self.index, self.primes, self.accumulation)
 

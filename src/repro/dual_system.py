@@ -85,10 +85,6 @@ class DualSlicerSystem:
             retry=self._retry,
             shards=self._shards,
             account_tag=tag,
-            # Without an explicit factory the dual oracle stays on the
-            # direct path even under REPRO_CHAOS=1: its transport would be
-            # per-instance state the env knob cannot scope correctly.
-            env_transport=False,
         )
 
     # ------------------------------------------------------------ mutation

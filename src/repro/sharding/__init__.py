@@ -11,19 +11,13 @@ tier itself, which serves every shard in-process.
 from .frontend import ShardedCloudFrontend
 from .plan import (
     HashShardPlan,
-    ShardPackage,
-    dump_shard_package,
     equality_route,
-    load_shard_package,
     split_package,
 )
 
 __all__ = [
     "HashShardPlan",
-    "ShardPackage",
     "ShardedCloudFrontend",
-    "dump_shard_package",
     "equality_route",
-    "load_shard_package",
     "split_package",
 ]

@@ -1,9 +1,10 @@
 """The scatter/gather front-end over N independent cloud shards.
 
 :class:`ShardedCloudFrontend` duck-types the :class:`~repro.core.cloud.
-CloudServer` surface :class:`~repro.system.SlicerSystem` consumes (install/
-search/search_many/snapshot/restore/precompute_witnesses/ads_value), so the
-system routes submit/search/settle through it untouched.  Internally every
+CloudServer` surface :class:`~repro.system.SlicerSystem` consumes
+(search/search_many/snapshot/restore/attach_store/reopen/ads_value), so the
+system routes submit/search/settle through it untouched; installs arrive
+pre-split by the owner (:meth:`install_shards`).  Internally every
 search is
 
 1. **scatter** — tokens are routed per shard by the plan (``G1`` hash);
@@ -43,10 +44,11 @@ from ..obs import metrics, trace
 from ..core import wire
 from ..core.cloud import CloudServer, SearchResponse, TokenResult
 from ..core.params import SlicerParams
+from ..core.state import CloudPackage
 from ..core.tokens import SearchToken
 from ..crypto.trapdoor import TrapdoorPublicKey
-from ..storage import codec, state_io
-from .plan import HashShardPlan, ShardPackage, merge_responses, route_tokens
+from ..storage import codec
+from .plan import HashShardPlan, merge_responses, route_tokens
 
 _KIND_TIER = b"shard-tier"
 
@@ -69,9 +71,6 @@ class ShardedCloudFrontend:
         ]
         self.transport = transport
         self.retry = retry or RetryPolicy()
-        #: Which accumulated primes each shard's keywords own (the set its
-        #: per-shard precompute covers); grows with every installed delta.
-        self._local_primes: list[dict[int, None]] = [{} for _ in range(plan.shards)]
         #: Per-shard durable snapshots for chaos crash-restart.
         self._snapshots: list[bytes | None] = [None] * plan.shards
         #: Shards taken down hard (no restart): served as detectable failures.
@@ -90,37 +89,23 @@ class ShardedCloudFrontend:
     def prime_count(self) -> int:
         return self.shard_servers[0].prime_count
 
-    def install_shards(self, shard_packages: list[ShardPackage]) -> None:
+    def install_shards(self, shard_packages: list[CloudPackage]) -> None:
         """Install one Build/Insert delta, pre-split by the owner."""
         if len(shard_packages) != len(self.shard_servers):
             raise ParameterError(
                 f"expected {len(self.shard_servers)} shard packages, "
                 f"got {len(shard_packages)}"
             )
-        for pkg in shard_packages:
-            self.install_shard(pkg)
+        for shard_id, package in enumerate(shard_packages):
+            self.install_shard(shard_id, package)
 
-    def install_shard(self, pkg: ShardPackage) -> None:
-        server = self.shard_servers[pkg.shard_id]
-        server.install(pkg.package, witness_primes=pkg.local_primes)
-        for prime in pkg.local_primes:
-            self._local_primes[pkg.shard_id][prime] = None
+    def install_shard(self, shard_id: int, package: CloudPackage) -> None:
+        server = self.shard_servers[shard_id]
+        server.install(package)
         if self.transport is not None:
             # Durable per-shard snapshot, taken atomically with the install —
             # what a crash-restarted shard reloads.
-            self._snapshots[pkg.shard_id] = server.snapshot()
-
-    def precompute_witnesses(self) -> int:
-        """Each shard precomputes witnesses for *its own* primes only.
-
-        The per-shard subsets partition the accumulated set, so the total
-        work (and the returned count) equals the single-cloud precompute —
-        no witness is derived twice across the tier.
-        """
-        total = 0
-        for sid, server in enumerate(self.shard_servers):
-            total += server.precompute_witnesses(list(self._local_primes[sid]))
-        return total
+            self._snapshots[shard_id] = server.snapshot()
 
     # -------------------------------------------------------- segment stores
 
@@ -150,10 +135,8 @@ class ShardedCloudFrontend:
     def reopen(self, path=None) -> None:
         """Restart the whole tier from its per-shard segment stores.
 
-        Every shard replays its own segment chain and warm checkpoint; the
-        frontend's routing bookkeeping (``_local_primes``) is rebuilt from
-        the shard-local primes recorded in the replayed segments, so a
-        restarted tier precomputes and routes exactly as the original did.
+        Every shard replays its own segment chain and warm checkpoint,
+        lazily on its first state access, as a single cloud does.
         """
         if path is None:
             if self._store_root is None:
@@ -162,34 +145,27 @@ class ShardedCloudFrontend:
         root = pathlib.Path(path)
         for sid, server in enumerate(self.shard_servers):
             server.reopen(root / f"shard-{sid}", plan_tag=self._shard_plan_tag(sid))
-            # Hydrate eagerly: the routing bookkeeping below needs the
-            # replayed shard-local primes, so laziness buys nothing here.
-            server._ensure_hydrated()
-            self._local_primes[sid] = dict(server._store_local_primes)
         self._store_root = root
         self._dead.clear()
 
     # ------------------------------------------------- snapshots and crashes
 
     def snapshot(self) -> bytes:
-        """Whole-tier snapshot: every shard's ``(I, X, Ac)`` plus bookkeeping."""
-        parts = [codec.encode_int(len(self.shard_servers))]
-        for server, local in zip(self.shard_servers, self._local_primes):
-            parts.append(server.snapshot())
-            parts.append(state_io.dump_primes(list(local)))
-        return codec.pack(_KIND_TIER, *parts)
+        """Whole-tier snapshot: every shard's ``(I, X, Ac)``."""
+        return codec.pack(
+            _KIND_TIER,
+            codec.encode_int(len(self.shard_servers)),
+            *[server.snapshot() for server in self.shard_servers],
+        )
 
     def restore(self, snapshot: bytes) -> None:
         """Cold-restart the whole tier from a :meth:`snapshot` blob."""
         parts = codec.unpack(snapshot, _KIND_TIER)
         count = codec.decode_int(parts[0])
-        if count != len(self.shard_servers) or len(parts) != 1 + 2 * count:
+        if count != len(self.shard_servers) or len(parts) != 1 + count:
             raise ParameterError("tier snapshot does not match this frontend's shape")
-        for sid in range(count):
-            self.shard_servers[sid].restore(parts[1 + 2 * sid])
-            self._local_primes[sid] = dict.fromkeys(
-                state_io.load_primes(parts[2 + 2 * sid])
-            )
+        for server, shard_snapshot in zip(self.shard_servers, parts[1:]):
+            server.restore(shard_snapshot)
         self._dead.clear()
 
     def snapshot_shard(self, shard_id: int) -> bytes:
@@ -210,8 +186,8 @@ class ShardedCloudFrontend:
         With a segment store attached the shard reopens from its own store
         directory (and may come back *warm* from its checkpoint); otherwise
         it reloads the per-install snapshot.  Witnesses recovery did not
-        bring back are served by the shard's live ``MemWit`` until the next
-        precompute — the single-cloud restart semantics.
+        bring back are served by the shard's live ``MemWit`` — the
+        single-cloud restart semantics.
         """
         server = self.shard_servers[shard_id]
         has_store = server._store is not None
@@ -221,8 +197,6 @@ class ShardedCloudFrontend:
         perfstats.incr("chaos.shard_restarts")
         if has_store:
             server.reopen()
-            server._ensure_hydrated()
-            self._local_primes[shard_id] = dict(server._store_local_primes)
         else:
             server.restore(snap)
 

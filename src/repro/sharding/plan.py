@@ -1,4 +1,4 @@
-"""Deterministic keyword -> shard routing and the per-shard install unit.
+"""Deterministic keyword -> shard routing and the per-shard package split.
 
 The serving tier splits the encrypted index ``I`` across N independent
 :class:`~repro.core.cloud.CloudServer` instances.  The routing key is the
@@ -25,19 +25,15 @@ keeps sharded responses byte-identical to the single-cloud path at any N.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 from ..common.errors import ParameterError, StateError
 from ..core.cloud import SearchResponse
-from ..core.state import CloudPackage
+from ..core.state import CloudPackage, EncryptedIndex
 from ..core.tokens import SearchToken
-from ..storage import codec, state_io
 
 #: Domain separator for the routing hash — shard ids must not correlate
 #: with any other hash of ``G1`` used elsewhere in the protocol.
 _ROUTE_DOMAIN = b"repro.shard.route:"
-
-_KIND_SHARD_PACKAGE = b"shard-package"
 
 
 class HashShardPlan:
@@ -90,96 +86,32 @@ def merge_responses(
     return SearchResponse([next(cursors[sid]) for sid in route])
 
 
-@dataclass
-class ShardPackage:
-    """One shard's slice of a Build/Insert delta.
-
-    ``package`` carries the shard-local index slice but the *full* delta
-    prime list and the global ``Ac`` (see module docstring); ``local_primes``
-    records which of those primes belong to keywords homed on this shard —
-    the set the shard's witness precompute covers.
-    """
-
-    shard_id: int
-    package: CloudPackage
-    local_primes: list[int]
-
-
-def dump_shard_package(pkg: ShardPackage) -> bytes:
-    """Wire/snapshot encoding: the owner->shard install message.
-
-    The owner-issued witnesses travel as one ``prime -> witness`` mapping
-    (empty without them); the shard still checks each with ``VerifyMem``
-    before its first serve.
-    """
-    witnesses = pkg.package.witnesses or {}
-    return codec.pack(
-        _KIND_SHARD_PACKAGE,
-        codec.encode_int(pkg.shard_id),
-        state_io.dump_cloud_state(
-            pkg.package.index, list(pkg.package.primes), pkg.package.accumulation
-        ),
-        state_io.dump_primes(list(pkg.local_primes)),
-        codec.encode_mapping(
-            {codec.encode_int(p): codec.encode_int(w) for p, w in witnesses.items()}
-        ),
-    )
-
-
-def load_shard_package(blob: bytes) -> ShardPackage:
-    try:
-        sid_blob, state_blob, local_blob, witness_blob = codec.unpack(
-            blob, _KIND_SHARD_PACKAGE
-        )
-        witnesses = {
-            codec.decode_int(p): codec.decode_int(w)
-            for p, w in codec.decode_mapping(witness_blob).items()
-        }
-    except (ParameterError, ValueError) as exc:
-        raise StateError(f"cannot load shard package: {exc}") from exc
-    index, primes, ads_value = state_io.load_cloud_state(state_blob)
-    return ShardPackage(
-        shard_id=codec.decode_int(sid_blob),
-        package=CloudPackage(index, primes, ads_value, witnesses or None),
-        local_primes=state_io.load_primes(local_blob),
-    )
-
-
 def split_package(
     plan: HashShardPlan,
-    routed: list[tuple[int, list[tuple[bytes, bytes]], int]],
+    routed: list[tuple[int, list[tuple[bytes, bytes]]]],
     all_primes: list[int],
     accumulation: int,
     witnesses: list[dict[int, int]] | None = None,
-) -> list[ShardPackage]:
-    """Assemble per-shard packages from routed per-keyword build output.
+) -> list[CloudPackage]:
+    """Assemble per-shard packages (indexed by shard id) from routed build output.
 
-    ``routed`` holds one ``(shard_id, entries, prime)`` triple per keyword
-    job, in job order — the owner computes the shard id while it still knows
-    each entry's keyword (``G1`` is not recoverable from a PRF label).  Every
-    shard receives the full ``all_primes`` delta; only the index entries and
-    the ``local_primes`` bookkeeping are sharded.  ``witnesses`` (owner
-    issued, already grouped by home shard) gives each shard the witnesses
-    of the primes its keywords own.
+    ``routed`` holds one ``(shard_id, entries)`` pair per keyword job, in
+    job order — the owner computes the shard id while it still knows each
+    entry's keyword (``G1`` is not recoverable from a PRF label).  Every
+    shard receives the full ``all_primes`` delta; only the index entries
+    are sharded.  ``witnesses`` (owner issued, already grouped by home
+    shard) gives each shard the witnesses of the primes its keywords own.
     """
-    from ..core.state import EncryptedIndex  # local: state imports nothing of ours
-
     slices = [EncryptedIndex() for _ in range(plan.shards)]
-    locals_: list[list[int]] = [[] for _ in range(plan.shards)]
-    for shard_id, entries, prime in routed:
+    for shard_id, entries in routed:
         for label, payload in entries:
             slices[shard_id].put(label, payload)
-        locals_[shard_id].append(prime)
     return [
-        ShardPackage(
-            shard_id=sid,
-            package=CloudPackage(
-                slices[sid],
-                list(all_primes),
-                accumulation,
-                None if witnesses is None else witnesses[sid],
-            ),
-            local_primes=locals_[sid],
+        CloudPackage(
+            slices[sid],
+            list(all_primes),
+            accumulation,
+            None if witnesses is None else witnesses[sid],
         )
         for sid in range(plan.shards)
     ]

@@ -8,9 +8,10 @@ Insert delta), instead of the whole-state snapshot blobs
 
 * ``seg-00000.slcr``, ``seg-00001.slcr``, … — one codec-v2-framed record
   per installed delta: the delta's index entries, its primes (installation
-  order), the post-install accumulation value ``Ac``, and the shard-local
-  witness-prime subset (for per-shard stores).  Segment files are written
-  once, fsynced, and never modified.
+  order) and the post-install accumulation value ``Ac``, plus an empty
+  fifth part (older shard stores kept a local-prime list there; the
+  reader ignores it).  Segment files are written once, fsynced, and never
+  modified.
 * ``manifest.slcr`` — the small mutable root: the store *plan* fingerprint
   (single-cloud vs a specific shard of a specific tier), the segment chain
   (name, length and SHA-256 digest per segment), the current ``Ac``, and
@@ -93,7 +94,6 @@ class Segment(NamedTuple):
     entries: dict[bytes, bytes]  # the delta's index entries
     primes: list[int]  # the delta's primes, installation order
     ads_value: int  # Ac after this install
-    local_primes: list[int] | None  # shard-local witness subset, or None
 
 
 class SegmentStore:
@@ -224,7 +224,6 @@ class SegmentStore:
         entries: dict[bytes, bytes],
         primes: list[int],
         ads_value: int,
-        local_primes: list[int] | None = None,
     ) -> int:
         """Commit one install delta as an immutable segment; returns its seq.
 
@@ -234,17 +233,13 @@ class SegmentStore:
         tail; after it, the install is durable.
         """
         seq = len(self._records)
-        local_blob = (
-            b"" if local_primes is None
-            else codec.encode_parts(*[codec.encode_int(p) for p in local_primes])
-        )
         blob = codec.pack(
             _KIND_SEGMENT,
             codec.encode_int(seq),
             codec.encode_mapping(entries),
             codec.encode_parts(*[codec.encode_int(p) for p in primes]),
             codec.encode_int(ads_value),
-            b"\x01" + local_blob if local_primes is not None else b"",
+            b"",
         )
         name = _segment_name(seq)
         seg_path = self.root / name
@@ -313,9 +308,7 @@ class SegmentStore:
         for seq, record in enumerate(self._records):
             blob = self._read_segment_file(record)
             try:
-                seq_blob, mapping, primes_blob, ads_blob, local_blob = codec.unpack(
-                    blob, _KIND_SEGMENT
-                )
+                seq_blob, mapping, primes_blob, ads_blob, _ = codec.unpack(blob, _KIND_SEGMENT)
                 if codec.decode_int(seq_blob) != seq:
                     raise ParameterError(
                         f"segment {record.name} carries sequence "
@@ -323,19 +316,13 @@ class SegmentStore:
                     )
                 entries = codec.decode_mapping(mapping)
                 primes = [codec.decode_int(p) for p in codec.decode_parts(primes_blob)]
-                local: list[int] | None = None
-                if local_blob:
-                    local = [
-                        codec.decode_int(p)
-                        for p in codec.decode_parts(local_blob[1:])
-                    ]
             except (ParameterError, ValueError) as exc:
                 raise StateError(
                     f"segment store at {self.root} is corrupt: "
                     f"cannot decode {record.name}: {exc}"
                 ) from exc
             perfstats.incr("segstore.segments_replayed")
-            yield Segment(seq, entries, primes, codec.decode_int(ads_blob), local)
+            yield Segment(seq, entries, primes, codec.decode_int(ads_blob))
 
     # ----------------------------------------------------- warm checkpoints
 

@@ -5,7 +5,8 @@ What gets persisted and by whom:
 * **cloud** — the encrypted index ``I`` and prime list ``X`` (its whole
   working state; rebuilding them requires the owner).  The combined
   :func:`dump_cloud_state` snapshot is what the chaos layer's crash-restart
-  recovery reloads.
+  recovery reloads; :func:`dump_cloud_package` wraps it with the owner's
+  witnesses as the owner -> cloud (or shard) install message.
 * **owner** — trapdoor state ``T`` and set-hash state ``S`` (losing S makes
   future inserts impossible; losing T strands users).
 * **user** — the trapdoor-state snapshot plus the last seen ``Ac``.
@@ -29,7 +30,7 @@ import pathlib
 
 from ..common.encoding import encode_parts, decode_parts, encode_uint, decode_uint
 from ..common.errors import ParameterError, StateError
-from ..core.state import EncryptedIndex, SetHashState, TrapdoorState
+from ..core.state import CloudPackage, EncryptedIndex, SetHashState, TrapdoorState
 from ..crypto.multiset_hash import MultisetHash
 from . import codec
 
@@ -38,6 +39,7 @@ _KIND_TRAPDOORS = b"trapdoors"
 _KIND_SETHASH = b"sethash"
 _KIND_PRIMES = b"primes"
 _KIND_CLOUD = b"cloud-state"
+_KIND_INSTALL = b"cloud-install"
 
 
 @contextlib.contextmanager
@@ -121,8 +123,8 @@ def load_primes(blob: bytes) -> list[int]:
 def dump_cloud_state(index: EncryptedIndex, primes: list[int], ads_value: int) -> bytes:
     """One self-contained cloud snapshot: ``(I, X, Ac)``.
 
-    This is both the owner's Build/Insert package on the wire and the
-    snapshot a crashed cloud restarts from — one format, one integrity
+    The snapshot a crashed cloud restarts from, and the state half of the
+    :func:`dump_cloud_package` install message — one format, one integrity
     check, exercised by both paths.
     """
     return codec.pack(
@@ -141,6 +143,35 @@ def load_cloud_state(blob: bytes) -> tuple[EncryptedIndex, list[int], int]:
             load_primes(primes_blob),
             codec.decode_int(ads_blob),
         )
+
+
+def dump_cloud_package(package: CloudPackage) -> bytes:
+    """The owner -> cloud install message: ``(I, X, Ac)`` plus owner witnesses.
+
+    A flat install and a shard's install use this one codec (the shard id
+    travels as the channel, not in the payload).  The witnesses ride as one
+    ``prime -> witness`` mapping, empty without them; the cloud still checks
+    each with ``VerifyMem`` before its first serve.
+    """
+    witnesses = package.witnesses or {}
+    return codec.pack(
+        _KIND_INSTALL,
+        dump_cloud_state(package.index, list(package.primes), package.accumulation),
+        codec.encode_mapping(
+            {codec.encode_int(p): codec.encode_int(w) for p, w in witnesses.items()}
+        ),
+    )
+
+
+def load_cloud_package(blob: bytes) -> CloudPackage:
+    with _loading("cloud install package"):
+        state_blob, witness_blob = codec.unpack(blob, _KIND_INSTALL)
+        witnesses = {
+            codec.decode_int(p): codec.decode_int(w)
+            for p, w in codec.decode_mapping(witness_blob).items()
+        }
+        index, primes, ads_value = load_cloud_state(state_blob)
+        return CloudPackage(index, primes, ads_value, witnesses or None)
 
 
 # ------------------------------------------------------------ file helpers

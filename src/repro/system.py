@@ -21,8 +21,8 @@ Two things vary inside it.
 **Delivery** is chosen from ``transport``:
 
 * **direct** (default, ``transport=None``) — in-process calls;
-* **chaos** — pass a :class:`~repro.chaos.ChaosTransport` (or export
-  ``REPRO_CHAOS=1``) and a single search's party boundaries serialize
+* **chaos** — pass a :class:`~repro.chaos.ChaosTransport` and a single
+  search's party boundaries serialize
   through :mod:`repro.core.wire`, cross the fault-injecting transport, and
   are wrapped in a :class:`~repro.chaos.RetryPolicy` with idempotent
   re-submission.  When the retry budget runs out the search degrades to a
@@ -71,7 +71,6 @@ from .chaos import (
     USER_TO_CONTRACT,
     ChaosTransport,
     RetryPolicy,
-    chaos_enabled,
     shard_channel,
 )
 from .common import perfstats
@@ -87,16 +86,10 @@ from .core.owner import DataOwner, OwnerOutput
 from .core.params import SlicerParams
 from .core.query import Query
 from .core.records import AttributedDatabase, Database
-from .core.state import CloudPackage
 from .core.user import DataUser
 from .core.tokens import SearchToken
 from .planner import PlanExpr, QueryPlan, compile_plans
-from .sharding import (
-    HashShardPlan,
-    ShardedCloudFrontend,
-    dump_shard_package,
-    load_shard_package,
-)
+from .sharding import HashShardPlan, ShardedCloudFrontend
 from .storage import codec, state_io
 
 DEFAULT_FUNDING = 10**9
@@ -228,7 +221,6 @@ class SlicerSystem:
         retry: RetryPolicy | None = None,
         shards: int = 1,
         account_tag: str | None = None,
-        env_transport: bool = True,
         settlement_mode: str = "sync",
         chain_faults=None,
         settle_gas_limit: int = SETTLE_GAS_LIMIT,
@@ -255,11 +247,7 @@ class SlicerSystem:
             self.builder = BlockBuilder(self.chain, self.mempool, fault_plan=chain_faults)
 
         # Chaos delivery (opt-in): None keeps the direct in-process path
-        # bit-for-bit identical to the pre-chaos system.  ``env_transport=
-        # False`` also opts out of the REPRO_CHAOS auto-detection (multi-
-        # system deployments that must stay direct regardless of env).
-        if transport is None and env_transport and chaos_enabled():
-            transport = ChaosTransport.from_env()
+        # bit-for-bit identical to the pre-chaos system.
         self.transport = transport
         self.retry = retry or RetryPolicy()
 
@@ -360,10 +348,8 @@ class SlicerSystem:
             with trace.span("install"):
                 if self.transport is None:
                     self._install(output)
-                elif self._sharded and output.shard_packages is not None:
-                    self._chaos_install_shards(output.shard_packages)
                 else:
-                    self._chaos_install(output.cloud_package)
+                    self._chaos_install(output)
             assert self.user is not None
             self.user.refresh(output.user_package)
             for _, extra in self.extra_users.values():
@@ -813,7 +799,7 @@ class SlicerSystem:
 
     def _install(self, output: OwnerOutput) -> None:
         """Direct-mode install: flat package, or pre-split per shard."""
-        if self._sharded and output.shard_packages is not None:
+        if self._sharded:
             self.cloud.install_shards(output.shard_packages)
         else:
             self.cloud.install(output.cloud_package)
@@ -844,72 +830,62 @@ class SlicerSystem:
         else:
             self.cloud.restore(self._cloud_snapshot)
 
-    def _chaos_install(self, package: CloudPackage) -> None:
-        """Owner -> cloud install over the transport (retried, idempotent)."""
+    def _chaos_install(self, output: OwnerOutput) -> None:
+        """Owner -> cloud install over the transport (retried, idempotent).
+
+        Flat or per shard, the message is one :func:`state_io.dump_cloud_package`
+        carrying the owner's witnesses.  A tier gets one independent leg per
+        shard (``owner->cloud#shardK``) with its own idempotency key, retry
+        budget and crash hook; the shard id travels as the channel and the
+        handler, never in the payload.  The durable snapshot a restarted
+        cloud reloads is taken atomically with the install: a crash after
+        the handler ran (but before the reply arrived) must restart into the
+        *installed* state, or the idempotency cache and the cloud disagree.
+        """
+        op = self._next_op()
+        if self._sharded:
+            for sid, package in enumerate(output.shard_packages):
+                # install_shard also refreshes that shard's durable snapshot.
+                self._deliver_install(
+                    shard_channel(OWNER_TO_CLOUD, sid),
+                    package,
+                    lambda pkg, sid=sid: self.cloud.install_shard(sid, pkg),
+                    ("install", op, sid),
+                    lambda sid=sid: self.cloud._restart_shard(sid),
+                    f"install.shard{sid}",
+                )
+            self._cloud_snapshot = self.cloud.snapshot()
+            return
+
+        def install(package) -> None:
+            self.cloud.install(package)
+            self._cloud_snapshot = self.cloud.snapshot()
+
+        self._deliver_install(
+            OWNER_TO_CLOUD,
+            output.cloud_package,
+            install,
+            ("install", op),
+            self._restart_cloud,
+            "install",
+        )
+
+    def _deliver_install(self, channel, package, install, key, on_crash, label) -> None:
+        """One install leg: encode, deliver with retries, decode, ``install``."""
         transport = self.transport
         assert transport is not None
-        pkg_wire = state_io.dump_cloud_state(
-            package.index, list(package.primes), package.accumulation
-        )
-        op = self._next_op()
+        pkg_wire = state_io.dump_cloud_package(package)
 
         def handler(blob: bytes) -> bytes:
-            index, primes, ads_value = state_io.load_cloud_state(blob)
-            self.cloud.install(CloudPackage(index, primes, ads_value))
-            # Snapshot atomically with the install: a crash after this
-            # handler ran (but before the reply arrived) must restart the
-            # cloud into the *installed* state, or the idempotency cache
-            # and the cloud's reality would disagree.
-            self._cloud_snapshot = self.cloud.snapshot()
+            install(state_io.load_cloud_package(blob))
             return b"installed"
 
         def install_op(attempt: int) -> None:
             transport.deliver(
-                OWNER_TO_CLOUD,
-                pkg_wire,
-                handler,
-                idempotency_key=("install", op),
-                on_crash=self._restart_cloud,
+                channel, pkg_wire, handler, idempotency_key=key, on_crash=on_crash
             )
 
-        self.retry.run(install_op, transport=transport, label="install")
-
-    def _chaos_install_shards(self, shard_packages) -> None:
-        """Owner -> tier install: one independent transport leg per shard.
-
-        Each shard's package crosses its own channel
-        (``owner->cloud#shardK``) with its own idempotency key and retry
-        budget; a crash fault restarts only that shard from its per-shard
-        durable snapshot.  The tier-level snapshot is refreshed once every
-        leg has landed.
-        """
-        transport = self.transport
-        assert transport is not None
-        op = self._next_op()
-        for pkg in shard_packages:
-            pkg_wire = dump_shard_package(pkg)
-            sid = pkg.shard_id
-
-            def handler(blob: bytes) -> bytes:
-                # install_shard also refreshes that shard's durable snapshot.
-                self.cloud.install_shard(load_shard_package(blob))
-                return b"installed"
-
-            def install_op(
-                attempt: int, _wire=pkg_wire, _handler=handler, _sid=sid
-            ) -> None:
-                transport.deliver(
-                    shard_channel(OWNER_TO_CLOUD, _sid),
-                    _wire,
-                    _handler,
-                    idempotency_key=("install", op, _sid),
-                    on_crash=lambda: self.cloud._restart_shard(_sid),
-                )
-
-            self.retry.run(
-                install_op, transport=transport, label=f"install.shard{sid}"
-            )
-        self._cloud_snapshot = self.cloud.snapshot()
+        self.retry.run(install_op, transport=transport, label=label)
 
     def _chaos_update_ads(self, contract: SlicerContract, chain_ads) -> Receipt:
         """Owner -> contract ADS refresh over the transport."""

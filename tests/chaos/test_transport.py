@@ -6,11 +6,7 @@ from repro.chaos import ChaosTransport, FaultKind, FaultPlan, profile_named
 from repro.chaos.faults import FaultProfile, WEIGHT_SCALE
 from repro.chaos.transport import frame, unframe
 from repro.common import perfstats
-from repro.common.errors import (
-    ParameterError,
-    TransportCorruption,
-    TransportTimeout,
-)
+from repro.common.errors import TransportCorruption, TransportTimeout
 
 
 def clean_transport(**kwargs) -> ChaosTransport:
@@ -169,18 +165,6 @@ class TestBuilders:
         t = ChaosTransport.for_profile("lossy", seed=99)
         assert t.plan.profile.name == "lossy"
         assert t.plan.seed == 99
-
-    def test_from_env_reads_profile_and_seed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS_PROFILE", "crash_restart")
-        monkeypatch.setenv("REPRO_CHAOS_SEED", "0x2a")
-        t = ChaosTransport.from_env()
-        assert t.plan.profile.name == "crash_restart"
-        assert t.plan.seed == 42
-
-    def test_from_env_rejects_garbage_seed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS_SEED", "not-a-number")
-        with pytest.raises(ParameterError, match="REPRO_CHAOS_SEED"):
-            ChaosTransport.from_env()
 
     def test_same_seed_same_fault_sequence_through_transport(self):
         def run(seed):

@@ -83,7 +83,6 @@ def _system(settlement="sync", transport=None, shards=1, malicious=None) -> Slic
         owner=owner,
         transport=transport,
         shards=shards,
-        env_transport=False,
         settlement_mode=settlement,
     )
     if malicious is not None:

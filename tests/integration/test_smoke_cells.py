@@ -53,11 +53,22 @@ def test_cell_reproduces_committed_baseline(cell, tmp_path):
     assert list(tmp_path.glob("BENCH_*.json")), "no fresh report written"
 
 
-def test_drifted_baseline_fails_on_every_run(tmp_path):
+def _bench_copy(tmp_path: pathlib.Path) -> pathlib.Path:
+    """The harness plus the range cell's committed baselines, to perturb."""
     bench = tmp_path / "benchmarks"
     (bench / "reports").mkdir(parents=True)
-    for name in ("run_smoke.py", "_harness.py", "reports/BENCH_range.json"):
+    for name in (
+        "run_smoke.py",
+        "_harness.py",
+        "reports/BENCH_range.json",
+        "reports/AUDIT_range.jsonl",
+    ):
         shutil.copy(BENCH / name, bench / name)
+    return bench
+
+
+def test_drifted_baseline_fails_on_every_run(tmp_path):
+    bench = _bench_copy(tmp_path)
     baseline = bench / "reports" / "BENCH_range.json"
     report = json.loads(baseline.read_text())
     report["planner"]["planner.dedup_saved"] += 1
@@ -71,6 +82,23 @@ def test_drifted_baseline_fails_on_every_run(tmp_path):
         assert "planner.planner.dedup_saved" in run.stdout
         assert baseline.read_bytes() == perturbed
     assert (bench / "reports" / "fresh" / "BENCH_range.json").exists()
+
+
+def test_drifted_audit_record_fails_on_every_run(tmp_path):
+    bench = _bench_copy(tmp_path)
+    audit = bench / "reports" / "AUDIT_range.jsonl"
+    lines = audit.read_text().splitlines()
+    record = json.loads(lines[2])
+    record["gas"] += 1
+    lines[2] = json.dumps(record, sort_keys=True)
+    audit.write_text("\n".join(lines) + "\n")
+    perturbed = audit.read_bytes()
+
+    for attempt in (1, 2):
+        run = _gate(bench, "range")
+        assert run.returncode == 1, f"run {attempt} passed a drifted audit log"
+        assert "DRIFTED ['AUDIT_range.jsonl:line 3']" in run.stdout
+        assert audit.read_bytes() == perturbed
 
 
 def test_full_gate_leaves_committed_reports_untouched():

@@ -8,12 +8,15 @@
 * **never served unchecked** — a corrupted owner witness fails the cloud's
   per-item check, is counted, and the query is answered from the
   cloud-side path: it still verifies and pays;
+* **carried over the wire** — a chaos-delivered install hands the cloud
+  the owner's witnesses, so the next search does no live ``MemWit``;
 * **not persisted** — ``snapshot()`` bytes do not depend on whether the
   installs carried witnesses.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from repro.chaos import ChaosTransport, FaultPlan, profile_named
 from repro.common import perfstats
 from repro.common.rng import default_rng
 from repro.core.cloud import CloudServer
@@ -53,9 +56,12 @@ class TestOwnerWitnessesEqualMemWit:
             assert out.cloud_package.witnesses == expected
             # Each prime's witness goes to exactly one shard, its home.
             merged: dict[int, int] = {}
-            for pkg in out.shard_packages:
-                shard_witnesses = pkg.package.witnesses
-                assert set(pkg.local_primes) <= set(shard_witnesses)
+            for sid, pkg in enumerate(out.shard_packages):
+                shard_witnesses = pkg.witnesses
+                assert all(
+                    owner.shard_plan.shard_of(owner._prime_g1[p]) == sid
+                    for p in shard_witnesses
+                )
                 assert not set(shard_witnesses) & set(merged)
                 merged.update(shard_witnesses)
             assert merged == expected
@@ -130,7 +136,7 @@ class TestInstallWithoutWitnesses:
                 memwit_cloud.search(tokens)
             )
 
-        # An install that moves Ac without witnesses (a wire hop) must not
+        # An install that moves Ac without witnesses must not
         # leave the previous Ac's witnesses behind.
         delta = owner.insert(database([8, 99], start=40))
         lookup.install(delta.cloud_package.without_witnesses())
@@ -139,3 +145,20 @@ class TestInstallWithoutWitnesses:
         for query in queries:
             response = lookup.search(user.make_tokens(query))
             assert verify_response(tparams, delta.chain_ads, response).ok
+
+
+class TestWireInstall:
+    def test_flat_chaos_insert_serves_owner_witnesses(self, tparams, owner_factory, witness_work):
+        s = SlicerSystem(
+            tparams,
+            rng=default_rng(5),
+            owner=owner_factory(tparams, seed=41),
+            transport=ChaosTransport(FaultPlan(profile_named("clean"), seed=1)),
+        )
+        s.setup(database([3, 9, 9, 200, 64]))
+        s.insert(database([9, 130], start=100))  # moves Ac: a full re-issue, over the wire
+        checked = perfstats.get("cloud.owner_witness.checked")
+        outcome = s.search(Query.parse(9, "="))
+        assert outcome.verified
+        assert perfstats.get("cloud.owner_witness.checked") > checked
+        assert witness_work.memwit == 0  # no live MemWit

@@ -65,9 +65,8 @@ def deploy(tparams, owner_factory, shards, seed=11):
 
 
 def run_scenario(system):
-    """Search -> precompute witnesses -> insert -> search again."""
+    """Search -> insert -> search again."""
     outcomes = [system.search(q) for q in QUERIES]
-    system.cloud.precompute_witnesses()
     system.insert(database(EXTRA, start=100))
     outcomes.extend(system.search(q) for q in QUERIES)
     return outcomes

@@ -1,10 +1,10 @@
 """Scatter/gather frontend unit tests against a single-cloud reference."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
-from repro import system as system_module
 from repro.chaos import ChaosTransport, FaultPlan, profile_named
 from repro.common import perfstats
 from repro.common.encoding import encode_parts, encode_uint
@@ -17,8 +17,8 @@ from repro.core.records import make_database
 from repro.core.user import DataUser
 from repro.core.verify import _result_prime, verify_response
 from repro.sharding import HashShardPlan, ShardedCloudFrontend
-from repro.sharding import plan as plan_module
-from repro.storage.segment_store import SegmentStore
+from repro.storage import codec, state_io
+from repro.storage.segment_store import MANIFEST_NAME, SegmentStore
 from repro.system import SlicerSystem
 
 VALUES = [7, 7, 9, 40, 41, 64, 3, 200]
@@ -77,48 +77,40 @@ class TestMergeIdentity:
             )
 
 
-class TestWitnessPrecompute:
-    def test_per_shard_precompute_partitions_the_work(
+class TestTierWitnesses:
+    def test_witnessless_tier_matches_single_cloud(
         self, tparams, owner_factory, session_keys, witness_work
     ):
-        # Installs without owner witnesses: the cloud-side MemWit path.
+        # Installs without owner witnesses: the paper's cloud-side MemWit.
         plan = HashShardPlan(4)
         owner = owner_factory(tparams)
         owner.shard_plan = plan
         out = owner.build(database(VALUES))
         frontend = ShardedCloudFrontend(tparams, session_keys.trapdoor.public, plan)
-        frontend.install_shards(
-            [
-                dataclasses.replace(pkg, package=pkg.package.without_witnesses())
-                for pkg in out.shard_packages
-            ]
-        )
+        frontend.install_shards([pkg.without_witnesses() for pkg in out.shard_packages])
         reference = CloudServer(tparams, session_keys.trapdoor.public)
         reference.install(out.cloud_package.without_witnesses())
-        assert frontend.precompute_witnesses() == reference.precompute_witnesses()
-        assert frontend.precompute_witnesses() == frontend.prime_count
-        # Per-shard precomputes together cover every prime: no shard (and
-        # not the reference) does witness work per query any more.
         user = DataUser(tparams, out.user_package, default_rng(3))
-        work = witness_work.total
         for query in QUERIES:
             tokens = user.make_tokens(query)
+            work = witness_work.memwit
             merged = frontend.search(tokens)
+            assert witness_work.memwit > work  # live MemWit on the tier
+            work = witness_work.memwit
             assert wire.dump_response(merged) == wire.dump_response(
                 reference.search(tokens)
             )
+            assert witness_work.memwit > work  # and on the single cloud
             assert verify_response(tparams, frontend.ads_value, merged).ok
-        assert witness_work.total == work
 
-    def test_owner_witnesses_leave_nothing_to_precompute(self, deployment, witness_work):
+    def test_owner_witnesses_leave_no_witness_work(self, deployment, witness_work):
         _, frontend, reference, user = deployment
-        assert frontend.precompute_witnesses() == frontend.prime_count
-        assert witness_work.memwit == 0
         for query in QUERIES:
             tokens = user.make_tokens(query)
             assert wire.dump_response(frontend.search(tokens)) == wire.dump_response(
                 reference.search(tokens)
             )
+        assert witness_work.memwit == 0
 
 
 class TestDegradedShards:
@@ -189,6 +181,63 @@ class TestStoreFingerprint:
             narrower.reopen(tmp_path)
 
 
+class TestOldShardStores:
+    """Shard stores written while segments still listed shard-local primes."""
+
+    @staticmethod
+    def _write_old_store(path, plan_tag, deltas):
+        """Hand-pack a store the old way: a local-prime list as the fifth part."""
+        path.mkdir()
+        records = []
+        for seq, (package, local) in enumerate(deltas):
+            blob = codec.pack(
+                b"epoch-segment",
+                codec.encode_int(seq),
+                codec.encode_mapping(dict(package.index.entries)),
+                codec.encode_parts(*[codec.encode_int(p) for p in package.primes]),
+                codec.encode_int(package.accumulation),
+                b"\x01" + codec.encode_parts(*[codec.encode_int(p) for p in local]),
+            )
+            name = f"seg-{seq:05d}.slcr"
+            (path / name).write_bytes(blob)
+            records.append(
+                codec.encode_parts(
+                    name.encode(), codec.encode_int(len(blob)), hashlib.sha256(blob).digest()
+                )
+            )
+        ads = codec.encode_int(deltas[-1][0].accumulation)
+        (path / MANIFEST_NAME).write_bytes(
+            codec.pack(b"segment-manifest", plan_tag, ads, b"", *records)
+        )
+
+    def test_old_segments_reopen_byte_identical(
+        self, tparams, owner_factory, session_keys, tmp_path
+    ):
+        plan = HashShardPlan(4)
+        owner = owner_factory(tparams)
+        owner.shard_plan = plan
+        outs = [owner.build(database(VALUES)), owner.insert(database([7, 130], start=100))]
+        reference = CloudServer(tparams, session_keys.trapdoor.public)
+        for out in outs:
+            reference.install(out.cloud_package)
+        frontend = ShardedCloudFrontend(tparams, session_keys.trapdoor.public, plan)
+        for sid in range(plan.shards):
+            deltas = []
+            for out in outs:
+                pkg = out.shard_packages[sid]
+                local = [p for p in pkg.primes if plan.shard_of(owner._prime_g1[p]) == sid]
+                deltas.append((pkg, local))
+            assert any(local for _, local in deltas)
+            self._write_old_store(tmp_path / f"shard-{sid}", frontend._shard_plan_tag(sid), deltas)
+        frontend.reopen(tmp_path)
+        user = DataUser(tparams, outs[-1].user_package, default_rng(3))
+        for query in QUERIES:
+            tokens = user.make_tokens(query)
+            assert wire.dump_response(frontend.search(tokens)) == wire.dump_response(
+                reference.search(tokens)
+            )
+
+
 class TestInstallValidation:
     def test_wrong_package_count_rejected(self, tparams, owner_factory, session_keys):
         owner = owner_factory(tparams)
@@ -207,12 +256,12 @@ class TestInstallValidation:
         owner = owner_factory(tparams)
         owner.shard_plan = plan
         pkg = owner.build(database(VALUES)).shard_packages[0]
-        prime, witness = next(iter(pkg.package.witnesses.items()))
+        prime, witness = next(iter(pkg.witnesses.items()))
         forged = 0 if bad == "zero" else witness + tparams.accumulator.modulus
-        package = dataclasses.replace(pkg.package, witnesses={prime: forged})
+        package = dataclasses.replace(pkg, witnesses={prime: forged})
         frontend = ShardedCloudFrontend(tparams, session_keys.trapdoor.public, plan)
         with pytest.raises(StateError):
-            frontend.install_shard(dataclasses.replace(pkg, package=package))
+            frontend.install_shard(0, package)
 
 
 class TestShardPackageWitnesses:
@@ -246,19 +295,15 @@ class TestShardPackageWitnesses:
         twin = self._system(tparams, owner_factory)
         target = _result_prime(tparams, twin.search(QUERIES[0]).response.results[0])
         modulus = tparams.accumulator.modulus
-        real_dump = plan_module.dump_shard_package
+        real_dump = state_io.dump_cloud_package
 
         def tampering_dump(pkg):
-            witnesses = pkg.package.witnesses
+            witnesses = pkg.witnesses
             if target in witnesses:  # negate: still in [1, n), fails VerifyMem
                 witnesses = {**witnesses, target: modulus - witnesses[target]}
-            return real_dump(
-                dataclasses.replace(
-                    pkg, package=dataclasses.replace(pkg.package, witnesses=witnesses)
-                )
-            )
+            return real_dump(dataclasses.replace(pkg, witnesses=witnesses))
 
-        monkeypatch.setattr(system_module, "dump_shard_package", tampering_dump)
+        monkeypatch.setattr(state_io, "dump_cloud_package", tampering_dump)
         system = self._system(tparams, owner_factory)
         rejected = perfstats.get("cloud.owner_witness.rejected")
         outcome = system.search(QUERIES[0])

@@ -13,15 +13,13 @@ from repro.core.tokens import SearchToken, derive_g1_g2
 from repro.crypto.accumulator import MembershipWitness
 from repro.sharding.plan import (
     HashShardPlan,
-    ShardPackage,
-    dump_shard_package,
     equality_route,
-    load_shard_package,
     merge_responses,
     route_tokens,
     split_package,
 )
 from repro.storage import codec
+from repro.storage.state_io import dump_cloud_package, load_cloud_package
 
 RNG = default_rng(404)
 
@@ -100,84 +98,70 @@ class TestSplitPackage:
                 (bytes([j, k]) + b"label", bytes([j, k]) + b"payload")
                 for k in range(3)
             ]
-            routed.append((plan.shard_of(g1), entries, 1000 + j))
+            routed.append((plan.shard_of(g1), entries))
         return routed
 
-    def test_slices_union_to_flat_index_and_locals_partition(self):
+    def test_slices_union_to_flat_index(self):
         plan = HashShardPlan(3)
         routed = self._routed(plan, 12)
-        all_primes = [prime for _, _, prime in routed]
+        all_primes = [1000 + j for j in range(12)]
         packages = split_package(plan, routed, all_primes, accumulation=42)
         assert len(packages) == 3
         merged = {}
-        locals_seen = []
         for pkg in packages:
-            assert pkg.package.primes == all_primes  # replicated, every shard
-            assert pkg.package.accumulation == 42
-            merged.update(pkg.package.index.entries)
-            locals_seen.extend(pkg.local_primes)
-        flat = {
-            label: payload for _, entries, _ in routed for label, payload in entries
-        }
+            assert pkg.primes == all_primes  # replicated, every shard
+            assert pkg.accumulation == 42
+            merged.update(pkg.index.entries)
+        flat = {label: payload for _, entries in routed for label, payload in entries}
         assert merged == flat
-        assert sorted(locals_seen) == sorted(all_primes)  # a partition
 
     def test_entries_land_on_their_keyword_shard(self):
         plan = HashShardPlan(4)
         routed = self._routed(plan, 8)
-        packages = split_package(
-            plan, routed, [p for _, _, p in routed], accumulation=1
-        )
-        for sid, entries, prime in routed:
-            pkg = packages[sid]
-            assert prime in pkg.local_primes
+        packages = split_package(plan, routed, [1000 + j for j in range(8)], accumulation=1)
+        for sid, entries in routed:
             for label, payload in entries:
-                assert pkg.package.index.entries[label] == payload
+                assert packages[sid].index.entries[label] == payload
 
 
 class TestShardPackageWire:
+    """A shard's package crosses the wire as the one cloud install message."""
+
+    @staticmethod
+    def _shard_package(witnesses=None) -> CloudPackage:
+        plan = HashShardPlan(3)
+        sid = plan.shard_of(b"g1")
+        routed = [(sid, [(b"label-a", b"payload-a"), (b"label-b", b"payload-b")])]
+        per_shard = None if witnesses is None else [witnesses] * 3
+        return split_package(plan, routed, [101, 103], 7, per_shard)[sid]
+
     def test_dump_load_roundtrip(self):
-        index = EncryptedIndex()
-        index.put(b"label-a", b"payload-a")
-        index.put(b"label-b", b"payload-b")
-        pkg = ShardPackage(
-            shard_id=2,
-            package=CloudPackage(index, [101, 103], 7),
-            local_primes=[103],
-        )
-        loaded = load_shard_package(dump_shard_package(pkg))
-        assert loaded.shard_id == 2
-        assert loaded.package.index.entries == index.entries
-        assert loaded.package.primes == [101, 103]
-        assert loaded.package.accumulation == 7
-        assert loaded.local_primes == [103]
+        pkg = self._shard_package()
+        loaded = load_cloud_package(dump_cloud_package(pkg))
+        assert loaded.index.entries == {b"label-a": b"payload-a", b"label-b": b"payload-b"}
+        assert loaded.primes == [101, 103]
+        assert loaded.accumulation == 7
 
     def test_roundtrip_keeps_owner_witnesses(self):
-        pkg = ShardPackage(
-            shard_id=0,
-            package=CloudPackage(EncryptedIndex(), [101, 103], 7, {101: 5, 103: 2**70}),
-            local_primes=[101, 103],
-        )
-        loaded = load_shard_package(dump_shard_package(pkg))
-        assert loaded.package.witnesses == {101: 5, 103: 2**70}
+        pkg = self._shard_package({101: 5, 103: 2**70})
+        assert load_cloud_package(dump_cloud_package(pkg)).witnesses == {101: 5, 103: 2**70}
 
     def test_roundtrip_without_witnesses(self):
-        pkg = ShardPackage(0, CloudPackage(EncryptedIndex(), [101], 7), [101])
-        assert load_shard_package(dump_shard_package(pkg)).package.witnesses is None
+        assert load_cloud_package(dump_cloud_package(self._shard_package())).witnesses is None
 
     def test_malformed_sections_raise_state_error(self):
-        good = ShardPackage(0, CloudPackage(EncryptedIndex(), [101], 7, {101: 5}), [101])
-        parts = codec.unpack(dump_shard_package(good), b"shard-package")
+        good = dump_cloud_package(CloudPackage(EncryptedIndex(), [101], 7, {101: 5}))
+        state, witnesses = codec.unpack(good, b"cloud-install")
         odd_mapping = encode_parts(b"\x65")  # a key with no witness
         for blob in (
-            codec.pack(b"shard-package", *parts[:3]),  # pre-witness layout
-            codec.pack(b"shard-package", *parts[:3], odd_mapping),
-            codec.pack(b"shard-package", *parts[:3], b"\xff"),  # not a part list
-            codec.pack(b"shard-package", parts[0], b"junk", *parts[2:]),
-            dump_shard_package(good)[:-3],  # truncated
+            codec.pack(b"cloud-install", state),  # no witness section
+            codec.pack(b"cloud-install", state, odd_mapping),
+            codec.pack(b"cloud-install", state, b"\xff"),  # not a part list
+            codec.pack(b"cloud-install", b"junk", witnesses),
+            good[:-3],  # truncated
         ):
             with pytest.raises(StateError):
-                load_shard_package(blob)
+                load_cloud_package(blob)
 
 
 class TestEqualityRoute:

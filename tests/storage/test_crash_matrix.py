@@ -74,7 +74,7 @@ def resend_uncommitted(serving, delta_out, plan):
     else:
         for sid, server in enumerate(serving.shard_servers):
             if server._store.segment_count == 1:
-                serving.install_shard(delta_out.shard_packages[sid])
+                serving.install_shard(sid, delta_out.shard_packages[sid])
 
 
 def measured_workload(serving, token_lists):

@@ -37,31 +37,24 @@ def world(tparams, owner_factory):
 
 def sample_segments():
     return [
-        ({b"label-a": b"payload-a", b"label-b": b"payload-b"}, [3, 5, 7], 11, None),
-        ({b"label-c": b"payload-c"}, [13], 17, [13]),
-        ({}, [], 17, []),
+        ({b"label-a": b"payload-a", b"label-b": b"payload-b"}, [3, 5, 7], 11),
+        ({b"label-c": b"payload-c"}, [13], 17),
+        ({}, [], 17),
     ]
 
 
 class TestStoreChain:
     def test_append_replay_round_trip(self, tmp_path):
         store = SegmentStore.create(tmp_path / "store")
-        for entries, primes, ads, local in sample_segments():
-            store.append(entries, primes, ads, local_primes=local)
+        for entries, primes, ads in sample_segments():
+            store.append(entries, primes, ads)
         reopened = SegmentStore.open(tmp_path / "store")
         assert reopened.ads_value == 17
         assert reopened.segment_count == 3
         replayed = list(reopened.replay())
-        for seq, (segment, (entries, primes, ads, local)) in enumerate(
-            zip(replayed, sample_segments())
-        ):
-            assert segment.seq == seq
-            assert segment.entries == entries
-            assert segment.primes == primes
-            assert segment.ads_value == ads
-            # None (single-cloud) and [] (shard with no local primes) are
-            # distinct on disk — the frontend's bookkeeping needs the split.
-            assert segment.local_primes == local
+        assert replayed == [
+            (seq, *segment) for seq, segment in enumerate(sample_segments())
+        ]
 
     def test_create_refuses_existing_store(self, tmp_path):
         SegmentStore.create(tmp_path / "store")
