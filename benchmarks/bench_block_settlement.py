@@ -4,18 +4,12 @@
 Settling a block's worth of escrows moves amortisation from the
 transaction (sync mode's ``batch_verify_and_settle``) to the *block*,
 keeping each verdict individually provable from the header's settlement
-root.  Beside the two flows it times the trusted ``batch_verify_membership``
-kernel — one multi-exponentiation for N witnesses instead of one full
-``pow`` each — over the round's ``(prime, witness)`` pairs.
+root.
 
-Byte-identity is a precondition of every timing this file reports:
-
-* the block-mode batch responses must equal the per-query sync responses
-  byte for byte, with equal verdicts and final balances, before either
-  flow is timed;
-* the batched kernel's verdict must equal the AND of the naive per-item
-  ``pow`` checks over the exact same (prime, witness) pairs before the
-  kernel loop is timed.
+Byte-identity is a precondition of every timing this file reports: the
+block-mode batch responses must equal the per-query sync responses byte
+for byte, with equal verdicts and final balances, before either flow is
+timed.
 
 Kernel memo caches are process-global, so each leg starts cold
 (``kernels.clear_caches()`` + registry reset) to keep counters comparable.
@@ -38,16 +32,13 @@ from repro.core import wire  # noqa: E402
 from repro.core.owner import DataOwner  # noqa: E402
 from repro.core.params import KeyBundle  # noqa: E402
 from repro.core.query import Query  # noqa: E402
-from repro.core.verify import _result_prime  # noqa: E402
 from repro.crypto import kernels  # noqa: E402
-from repro.crypto import modmath  # noqa: E402
 from repro.obs.metrics import REGISTRY  # noqa: E402
 from repro.system import SlicerSystem  # noqa: E402
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec  # noqa: E402
 
 N_RECORDS = 120
 BITS = 8
-KERNEL_REPEATS = 5
 
 #: One block's worth of settlements: equality hits, range scans, a miss.
 QUERIES = [
@@ -106,29 +97,6 @@ def main() -> int:
     settle_blocks = len({o.settle_height for o in block_outcomes})
     assert settle_blocks == 1, "one block must carry the whole round"
 
-    # Kernel micro-bench: the trusted batch fold vs naive per-item pows,
-    # over the exact (prime, witness) pairs the block round settled.
-    modulus = batched.params.accumulator.modulus
-    ads = batched.cloud.ads_value
-    items = [
-        (_result_prime(batched.params, result), result.witness.value)
-        for outcome in block_outcomes
-        for result in outcome.response.results
-    ]
-
-    def naive() -> bool:
-        return all(modmath.powmod(w, p, modulus) == ads for p, w in items)
-
-    def folded() -> bool:
-        return kernels.batch_verify_membership(modulus, ads, items)
-
-    assert naive() and folded(), (
-        "batched self-check verdict must equal the per-item AND"
-    )
-    counters = REGISTRY.snapshot()["counters"]  # batch_verify.*: the one fold above
-    naive_s, _ = time_call(lambda: [naive() for _ in range(KERNEL_REPEATS)])
-    folded_s, _ = time_call(lambda: [folded() for _ in range(KERNEL_REPEATS)])
-
     metrics = {
         "queries": len(QUERIES),
         "records": N_RECORDS,
@@ -140,13 +108,6 @@ def main() -> int:
         "settle_blocks": settle_blocks,
         "sync_blocks_mined": sync_blocks,
         "block_blocks_mined": batched.chain.height - height_before,
-        "selfcheck_items": len(items),
-        "kernel_repeats": KERNEL_REPEATS,
-        "naive_membership_s": naive_s,
-        "batched_membership_s": folded_s,
-        "kernel_speedup": naive_s / folded_s if folded_s else 0.0,
-        "batch_verify_calls": counters.get("batch_verify.calls", 0),
-        "batch_verify_witnesses": counters.get("batch_verify.witnesses", 0),
         "byte_identity_vs_sync": True,
     }
     rows = [("Metric", "value")] + [
@@ -160,7 +121,6 @@ def main() -> int:
                 "records": N_RECORDS,
                 "queries": len(QUERIES),
                 "value_bits": BITS,
-                "kernel_repeats": KERNEL_REPEATS,
             },
             "metrics": metrics,
         },

@@ -4,7 +4,8 @@ For each record count (the paper's Fig. 5 x-axis) the same deployment flow
 runs three ways on a single core:
 
 * ``off``  — ``REPRO_KERNELS=0``: the plain primitives;
-* ``cold`` — kernels on, every process-local cache cleared first: the
+* ``cold`` — kernels on, every process-local cache (``H_prime`` memo,
+  fixed-base and comb tables, entry cache) cleared first: the
   first-query cost (memo misses, table builds);
 * ``warm`` — the same query repeated against the now-warm caches: the
   repeat-query cost the memo layer exists for.

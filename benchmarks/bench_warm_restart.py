@@ -2,8 +2,9 @@
 
 Quantifies what the epoch-segment store buys a restarted cloud: reopen
 replays the committed segments and rehydrates the witness map, the
-trapdoor-chain memo and the entry cache from the warm checkpoint, so the first repeat query after
-a restart runs at cache speed instead of paying a full cold walk plus
+``H_prime`` memo and the entry cache from the warm checkpoint, so the
+first repeat query after a restart runs at cache speed (one per-item
+``VerifyMem`` per served witness) instead of paying a full cold walk plus
 witness exponentiation.  Byte-identity against the never-restarted cloud
 is asserted *before* any timing is recorded — a fast wrong answer is not a
 result.

@@ -22,14 +22,9 @@ from ..common.encoding import encode_parts, sizeof
 from ..common.rng import DeterministicRNG, default_rng
 from ..common import perfstats
 from ..common.timing import Stopwatch
-from ..common.errors import AccumulatorError, ParameterError, StateError
+from ..common.errors import ParameterError, StateError
 from ..crypto import kernels
-from ..crypto.accumulator import (
-    MembershipWitness,
-    root_factor,
-    verify_membership,
-    verify_membership_batch,
-)
+from ..crypto.accumulator import MembershipWitness, root_factor, verify_membership
 from ..obs import metrics, trace
 from ..crypto.modmath import ProductTree, product
 from ..crypto.multiset_hash import MultisetHash
@@ -94,7 +89,8 @@ class CloudServer:
         #: Ready witnesses, valid for exactly the current ``Ac``: owner-issued
         #: (:meth:`install`) or cloud-computed (:meth:`precompute_witnesses`,
         #: warm checkpoint).  ``_checked`` holds the primes whose witness
-        #: passed a check; an owner witness is checked before its first use.
+        #: passed the per-item ``VerifyMem`` of :meth:`_lookup_witness`; no
+        #: witness is served before it is in there.
         self._witnesses: dict[int, int] = {}
         self._checked: set[int] = set()
         #: Epoch-suffix result cache: needs no invalidation (epochs are
@@ -152,13 +148,13 @@ class CloudServer:
         get cloud-side witnesses by one root-factor batch (``O(k log k)``
         exponentiations for ``k`` uncovered primes), traded for
         near-zero VO-generation latency per query until ``Ac`` moves.
+        Like an owner witness, each is checked on its first serve.
         Returns the number of covered primes.
         """
         self._ensure_hydrated()
-        computed = self._root_witnesses([p for p in self._primes if p not in self._witnesses])
-        self._self_check(computed)
-        self._witnesses.update(computed)
-        self._checked.update(computed)
+        self._witnesses.update(
+            self._root_witnesses([p for p in self._primes if p not in self._witnesses])
+        )
         return len(self._primes)
 
     def _root_witnesses(self, subset: list[int]) -> dict[int, int]:
@@ -179,25 +175,6 @@ class CloudServer:
                 g, acc.modulus, self._product_tree.root // product(subset)
             )
         return root_factor(base, subset, acc.modulus)
-
-    def _self_check(self, witnesses: dict[int, int]) -> None:
-        """Batch self-check of cloud-computed (or checkpointed) witnesses.
-
-        One trusted-batch multi-exponentiation asserts ``w_p^p == Ac`` over
-        the whole batch.  The witnesses are the cloud's own output, so the
-        batch kernel's trusted-input precondition holds (there is no
-        adversary choosing them); a reject means an implementation bug —
-        e.g. a witness that outlived its ``Ac`` — and is raised, never served.
-        """
-        if not witnesses or not kernels.kernels_enabled():
-            return
-        items = [(p, MembershipWitness(w)) for p, w in witnesses.items()]
-        verdicts = verify_membership_batch(
-            self.params.accumulator, self.ads_value, items, trusted=True
-        )
-        if not all(verdicts):
-            raise AccumulatorError("witness map failed accumulator self-check")
-        perfstats.incr("cloud.witness_cache.selfcheck")
 
     def snapshot(self) -> bytes:
         """Serialize the full working state ``(I, X, Ac)`` for crash recovery."""
@@ -329,7 +306,7 @@ class CloudServer:
         if self._store is None:
             raise StateError("no segment store attached; call attach_store() first")
         self._ensure_hydrated()
-        # Owner witnesses go in only after their per-item check, so the
+        # Witnesses go in only after their per-item check, so the
         # checkpoint holds nothing the cloud would not serve.
         witnesses = {
             prime: witness
@@ -345,7 +322,6 @@ class CloudServer:
                 for key, node in self._entry_cache.nodes.items()
             ],
             witnesses,
-            kernels.trapdoor_chain_items(self.trapdoor_public),
             kernels.hash_memo_items(self.params.prime_bits),
         )
         self._store.write_warm(blob)
@@ -391,9 +367,9 @@ class CloudServer:
             # stale.  Cold rebuild, correct answers.
             perfstats.incr("segstore.warm.stale")
             return
-        self._self_check(warm.witnesses)
+        # Checkpoint bytes are checked per item on first serve, like any
+        # other stored witness.
         self._witnesses = dict(warm.witnesses)
-        self._checked = set(warm.witnesses)
         if warm.index_digest == segment_store.index_digest(self.index.entries):
             for key, (entries, suffix_hash, next_trapdoor) in warm.entry_nodes:
                 self._entry_cache.install(
@@ -402,7 +378,6 @@ class CloudServer:
         else:
             perfstats.incr("segstore.warm.stale_entries")
         kernels.load_hash_memo(self.params.prime_bits, warm.hash_items)
-        kernels.load_trapdoor_chain(self.trapdoor_public, warm.trapdoor_items)
         perfstats.incr("segstore.warm.loaded")
 
     @property
@@ -590,9 +565,10 @@ class CloudServer:
     def _lookup_witness(self, prime: int) -> int | None:
         """The ready witness for ``prime``, or None.
 
-        An owner witness is served only after it passed the contract's own
-        per-item ``VerifyMem`` against the current ``Ac`` (once per install);
-        one that fails is counted, discarded and never served.
+        A stored witness — owner-issued, precomputed or checkpointed — is
+        served only after it passed the contract's own per-item
+        ``VerifyMem`` against the current ``Ac`` (once per ``Ac``); one that
+        fails is counted, discarded and never served.
         """
         witness = self._witnesses.get(prime)
         if witness is None or prime in self._checked:
@@ -600,10 +576,10 @@ class CloudServer:
         if verify_membership(
             self.params.accumulator, self.ads_value, prime, MembershipWitness(witness)
         ):
-            perfstats.incr("cloud.owner_witness.checked")
+            perfstats.incr("cloud.witness.checked")
             self._checked.add(prime)
             return witness
-        perfstats.incr("cloud.owner_witness.rejected")
+        perfstats.incr("cloud.witness.rejected")
         del self._witnesses[prime]
         return None
 

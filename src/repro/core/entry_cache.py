@@ -13,7 +13,9 @@ every PRF label, index probe and pad stream.  This module caches the walk:
   modexps).
 * **collect_entries** — the cloud's epoch walk: it descends from the
   token head only until it hits a cached node, collects just the fresh epochs, splices the cached
-  suffix, and installs nodes for the fresh prefix on the way out.  The
+  suffix, and installs nodes for the fresh prefix on the way out.  Each
+  fresh epoch steps to the next with one ``π_pk`` modexp, counted as
+  ``cloud.collect.pi_steps`` beside the PRF evals and index probes.  The
   head node's suffix hash *is* the full result-multiset hash, so
   ``CloudServer._token_prime`` folds it incrementally instead of rehashing
   the full multiset.
@@ -108,6 +110,12 @@ class EntryCache:
 # ------------------------------------------------------------- the epoch walk
 
 
+def _pi_step(trapdoor_public, trapdoor: bytes) -> bytes:
+    """One public-permutation step ``π_pk(t)`` (an RSA modexp), counted."""
+    perfstats.incr("cloud.collect.pi_steps")
+    return trapdoor_public.apply(trapdoor)
+
+
 def collect_entries(
     cache: Optional[EntryCache],
     find: Callable[[bytes], Optional[bytes]],
@@ -140,12 +148,10 @@ def collect_entries(
     truncated = max_epochs is not None and max_epochs < epochs
     if truncated:
         epochs = max_epochs  # type: ignore[assignment]
-    use_kernels = kernels.kernels_enabled()
-    chain = kernels.trapdoor_chain(trapdoor_public) if use_kernels else None
     label_prf = PRF(g1, label_len)
     pad_prf = PRF(g2)
 
-    if cache is None or not use_kernels or truncated:
+    if cache is None or not kernels.kernels_enabled() or truncated:
         entries: list[bytes] = []
         probes = prf_evals = 0
         t = trapdoor
@@ -163,7 +169,7 @@ def collect_entries(
                 entries.append(xor_bytes(pad, payload))
                 counter += 1
             if e + 1 < epochs:
-                t = chain.step(t) if chain is not None else trapdoor_public.apply(t)
+                t = _pi_step(trapdoor_public, t)
         perfstats.incr("cloud.collect.index_probes", probes)
         perfstats.incr("cloud.collect.prf_evals", prf_evals)
         return CollectResult(entries, None, 0)
@@ -186,7 +192,11 @@ def collect_entries(
                 # Cached link: the saved π_pk modexp.  A node can only lack a
                 # link at epoch 0, where the loop ends; the step fallback
                 # guards impossible-in-honest-use inconsistency.
-                t = node.next_trapdoor if node.next_trapdoor is not None else chain.step(t)
+                t = (
+                    node.next_trapdoor
+                    if node.next_trapdoor is not None
+                    else _pi_step(trapdoor_public, t)
+                )
             continue
         epoch_entries: list[bytes] = []
         counter = 0
@@ -205,7 +215,7 @@ def collect_entries(
         if hit_node is None:
             fresh_prefix.append((t, epoch_entries))
         if e + 1 < epochs:
-            t = chain.step(t)
+            t = _pi_step(trapdoor_public, t)
 
     # Fold the fresh prefix bottom-up onto the hit node's suffix hash and
     # install one node per fresh epoch.  The final fold value is the hash of

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..common.encoding import encode_parts
-from ..crypto.accumulator import verify_membership, verify_membership_batch
+from ..crypto.accumulator import verify_membership
 from ..crypto.multiset_hash import MultisetHash
 from .cloud import SearchResponse, TokenResult
 from .params import SlicerParams
@@ -65,16 +65,11 @@ def verify_response(
     """Algorithm 5 over the full response; vr = AND of per-token checks.
 
     Every witness is checked individually.  This path faces the
-    dishonest-cloud threat model, and the batched multi-exponentiation
-    shortcut is unsound there: in ``Z_n*`` a malicious cloud can negate an
-    even number of witnesses (``w → n−w``) and pass any random-linear-
-    combination aggregate while every per-token ``VerifyMem`` rejects
-    (order-2 subgroup ``{±1}``).  The batch kernel is reserved for trusted
-    self-checks — see ``verify_membership_batch(trusted=True)``.
+    dishonest-cloud threat model, where a random-linear-combination batch
+    of ``VerifyMem`` is unsound: in ``Z_n*`` a malicious cloud can negate an
+    even number of witnesses (``w → n−w``) and pass the aggregate while
+    every per-token check rejects (order-2 subgroup ``{±1}``).
     """
-    items = [
-        (_result_prime(params, result), result.witness) for result in response.results
-    ]
     return VerificationReport(
-        tuple(verify_membership_batch(params.accumulator, ads_value, items))
+        tuple(verify_token_result(params, ads_value, result) for result in response.results)
     )

@@ -9,9 +9,7 @@ from .accumulator import (
     Accumulator,
     AccumulatorParams,
     MembershipWitness,
-    NonMembershipWitness,
     verify_membership,
-    verify_nonmembership,
 )
 from .hash_to_prime import DEFAULT_PRIME_BITS, HashToPrime
 from .merkle import MerkleProof, MerkleTree, verify_merkle
@@ -31,7 +29,6 @@ __all__ = [
     "MerkleProof",
     "MerkleTree",
     "MultisetHash",
-    "NonMembershipWitness",
     "PRF",
     "SymmetricCipher",
     "TrapdoorKeyPair",
@@ -44,5 +41,4 @@ __all__ = [
     "random_safe_prime",
     "verify_membership",
     "verify_merkle",
-    "verify_nonmembership",
 ]

@@ -20,15 +20,11 @@ Design notes
   root-factor divide-and-conquer in ``O(|X| log |X|)`` exponentiations
   instead of ``O(|X|^2)`` — this is what makes the Fig. 5 VO-generation
   benchmark feasible at paper scale.
-* Non-membership witnesses (Bezout pairs) are included because [28] is a
-  *universal* accumulator; Slicer itself only needs membership, but the
-  dual-instance deletion tests exercise non-membership too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from ..common.errors import AccumulatorError, ParameterError
 from ..common.rng import DeterministicRNG, default_rng
@@ -139,14 +135,6 @@ class MembershipWitness:
     def to_bytes(self, params: AccumulatorParams) -> bytes:
         width = (params.modulus.bit_length() + 7) // 8
         return self.value.to_bytes(width, "big")
-
-
-@dataclass(frozen=True)
-class NonMembershipWitness:
-    """Bezout-style proof that a prime is *not* in the accumulated set."""
-
-    a: int
-    d: int
 
 
 class Accumulator:
@@ -291,24 +279,6 @@ class Accumulator:
         raw = root_factor(self.params.generator % n, list(self._primes), n)
         return {p: MembershipWitness(w) for p, w in raw.items()}
 
-    def nonmembership_witness(self, x: int) -> NonMembershipWitness:
-        """Universal-accumulator proof that prime ``x`` is NOT in the set."""
-        self._check_prime(x)
-        if x in self._primes:
-            raise AccumulatorError(f"{x} is accumulated; no non-membership witness")
-        x_p = product(list(self._primes))
-        g, a, b = _ext_gcd(x_p, x)
-        if g != 1:
-            raise AccumulatorError("element shares a factor with the set product")
-        n = self.params.modulus
-        # a*x_p + b*x = 1  =>  Ac^a = g * (g^{-b})^x
-        if b <= 0:
-            d = kernels.fixed_base_pow(self.params.generator, n, -b)
-        else:
-            d = mod_inverse(kernels.fixed_base_pow(self.params.generator, n, b), n)
-        return NonMembershipWitness(a, d)
-
-
 def root_factor(base: int, primes: list[int], modulus: int) -> dict[int, int]:
     """Sander-Ta-Shma root-factor recursion: ``{p: base^(prod(primes)/p)}``.
 
@@ -339,68 +309,3 @@ def verify_membership(
     if x < 2:
         return False
     return powmod(witness.value, x, params.modulus) == accumulated % params.modulus
-
-
-def verify_membership_batch(
-    params: AccumulatorParams,
-    accumulated: int,
-    items: list[tuple[int, MembershipWitness]],
-    *,
-    trusted: bool = False,
-) -> list[bool]:
-    """``VerifyMem`` over many ``(prime, witness)`` pairs.
-
-    By default every item is checked individually — exactly the contract's
-    per-witness ``VerifyMem``.  Random-linear-combination batching in
-    ``Z_n*`` is *malleable* under the order-2 subgroup ``{±1}``: a prover
-    that negates an even number of witnesses (``w → n−w``) cancels the sign
-    factors pairwise and passes the aggregate while each per-item check
-    rejects (see :func:`~repro.crypto.kernels.batch_verify_membership`), so
-    the shortcut must never face adversarial witnesses.
-
-    ``trusted=True`` enables the fast path for inputs from a party that
-    cannot gain by cheating itself — self-checks over locally computed
-    witnesses, e.g. the cloud validating its own witness cache: one
-    interleaved multi-exponentiation instead of one full ``pow`` per item,
-    falling back to per-item checks when the batch rejects so the verdict
-    vector is identical either way.
-    """
-    if not items:
-        return []
-    if (
-        trusted
-        and kernels.kernels_enabled()
-        and kernels.batch_verify_membership(
-            params.modulus, accumulated, [(p, w.value) for p, w in items]
-        )
-    ):
-        return [True] * len(items)
-    return [verify_membership(params, accumulated, p, w) for p, w in items]
-
-
-def verify_nonmembership(
-    params: AccumulatorParams, accumulated: int, x: int, witness: NonMembershipWitness
-) -> bool:
-    """Check a non-membership witness: ``Ac^a == g * d^x``."""
-    n = params.modulus
-    a = witness.a
-    if a >= 0:
-        lhs = powmod(accumulated, a, n)
-    else:
-        lhs = powmod(mod_inverse(accumulated, n), -a, n)
-    rhs = (params.generator * powmod(witness.d, x, n)) % n
-    return lhs == rhs
-
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, x, y) with a*x + b*y == g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quotient = old_r // r
-        old_r, r = r, old_r - quotient * r
-        old_s, s = s, old_s - quotient * s
-        old_t, t = t, old_t - quotient * t
-    return old_r, old_s, old_t

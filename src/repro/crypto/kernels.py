@@ -1,6 +1,6 @@
 """Single-core crypto kernels: memoization and precomputation for hot primitives.
 
-This module makes each process cheaper.  Five kernels, each byte-identical
+This module makes each process cheaper.  Three kernels, each byte-identical
 to the code it replaces (property tests assert this), each reporting to
 :mod:`repro.common.perfstats`:
 
@@ -18,20 +18,6 @@ to the code it replaces (property tests assert this), each reporting to
   each a ``g^e mod p`` and ``g^e mod q`` with ``e`` below the half modulus;
   a byte-digit table ``g^(d·2^(8j))`` makes each one a multiplication per
   exponent byte, with no squarings.
-* **Trapdoor-chain cache** — the cloud walks ``t_j → t_{j-1} → … → t_0``
-  through the public RSA permutation on *every* search; each step is a full
-  modexp.  ``π_pk`` is a fixed deterministic function, so single steps are
-  memoized: a repeat search (or any search after an Insert extended the
-  chain by one) pays one miss and hits the rest of the walk.  Entries can
-  never go stale — a forward-secure Insert introduces a *new* trapdoor
-  (a miss), it never changes the image of an old one.
-* **Batched multi-exponentiation** — ``VerifyMem`` over many witnesses in
-  one pass: a shared squaring chain over all bases instead of one full
-  ``pow`` per witness.  **Trusted inputs only**: random-linear-combination
-  batching in ``Z_n*`` is malleable under the order-2 subgroup ``{±1}``
-  (see :func:`batch_verify_membership`), so adversarial-facing verification
-  (Algorithm 5 / the contract) stays per-witness and the batch serves
-  self-checks over locally computed witnesses.
 
 Every cache is **process-local** and keyed only on deterministic inputs.
 ``REPRO_KERNELS=0`` disables the layer (the benchmarks use
@@ -40,12 +26,10 @@ this for honest cold/warm comparisons).
 
 from __future__ import annotations
 
-import hashlib
 import os
 import weakref
 
 from ..common import perfstats
-from ..common.encoding import encode_parts
 from . import modmath
 from .hash_to_prime import HashToPrime
 
@@ -450,165 +434,6 @@ def witness_pow(base: int, exponent: int, modulus: int) -> int:
     return result
 
 
-# ------------------------------------------------------------ trapdoor chains
-
-#: Cache cap: trapdoors are modulus-width byte strings (128 B at 1024 bits);
-#: 2^16 entries stay in the tens of MB worst case.
-TRAPDOOR_CACHE_MAX = 1 << 16
-
-_TRAPDOOR_CHAINS: dict[tuple[int, int], "TrapdoorChainCache"] = {}
-
-
-class TrapdoorChainCache:
-    """Memo of single public-permutation steps ``t → π_pk(t)``.
-
-    The cloud's epoch walk applies ``π_pk`` (one RSA modexp) per epoch per
-    token per search.  ``π_pk`` is a fixed public function of a fixed key,
-    so the map is memoized: a repeat search walks the whole chain on dict
-    hits, and after a forward-secure Insert only the *new* head trapdoor
-    misses — its image is the previous head, where the cached chain resumes.
-    Correct invalidation is the empty set: no insert, deletion or key-free
-    party action can change ``π_pk(t)`` for an existing ``t``.
-    """
-
-    __slots__ = ("public", "_memo")
-
-    def __init__(self, public) -> None:
-        self.public = public  # TrapdoorPublicKey (duck-typed: .apply)
-        self._memo: dict[bytes, bytes] = {}
-
-    def step(self, trapdoor: bytes) -> bytes:
-        """``π_pk(trapdoor)``, memoized."""
-        memo = self._memo
-        cached = memo.get(trapdoor)
-        if cached is not None:
-            perfstats.incr("trapdoor_chain.hit")
-            return cached
-        perfstats.incr("trapdoor_chain.miss")
-        result = self.public.apply(trapdoor)
-        if len(memo) >= TRAPDOOR_CACHE_MAX:
-            del memo[next(iter(memo))]
-        memo[trapdoor] = result
-        return result
-
-    def __len__(self) -> int:
-        return len(self._memo)
-
-
-def trapdoor_chain(public) -> TrapdoorChainCache:
-    """The per-process chain cache for one public key (shared across clouds)."""
-    key = (public.modulus, public.exponent)
-    cache = _TRAPDOOR_CHAINS.get(key)
-    if cache is None:
-        cache = _TRAPDOOR_CHAINS[key] = TrapdoorChainCache(public)
-    return cache
-
-
-# ------------------------------------------------------ batched membership check
-
-def multi_exp(pairs: list[tuple[int, int]], modulus: int, window: int = 4) -> int:
-    """Simultaneous multi-exponentiation ``prod_i base_i^exp_i mod modulus``.
-
-    One shared squaring chain (the length of the *longest* exponent) plus
-    per-base digit multiplications, instead of a full square-and-multiply
-    per base — the classic interleaved ``2^w``-ary method.
-    """
-    if any(exp < 0 for _, exp in pairs):
-        raise ValueError("multi_exp exponents must be non-negative")
-    live = [(base % modulus, exp) for base, exp in pairs if exp > 0]
-    if not live:
-        return 1 % modulus
-    perfstats.incr("multi_exp.calls")
-    perfstats.incr("multi_exp.bases", len(live))
-    backend = modmath.active_backend()
-    wrap = backend.wrap
-    modulus_w = wrap(modulus)
-    one = wrap(1)
-    mask = (1 << window) - 1
-    tables: list[list[int]] = []
-    for base, _ in live:
-        base = wrap(base)
-        table = [one, base]
-        for _ in range(mask - 1):
-            table.append(table[-1] * base % modulus_w)
-        tables.append(table)
-    max_bits = max(exp.bit_length() for _, exp in live)
-    n_digits = (max_bits + window - 1) // window
-    result = one
-    for j in range(n_digits - 1, -1, -1):
-        if result != one:
-            for _ in range(window):
-                result = result * result % modulus_w
-        shift = j * window
-        for (base, exp), table in zip(live, tables):
-            d = (exp >> shift) & mask
-            if d:
-                result = result * table[d] % modulus_w
-    return backend.unwrap(result)
-
-
-def _batch_coefficient(accumulated: int, index: int, prime: int, witness: int) -> int:
-    """Deterministic 64-bit Fiat-Shamir coefficient for one batch item.
-
-    The hashed material uses the repo's length-prefixed framing so the
-    encoding of the ``(accumulated, index, prime, witness)`` tuple is
-    injective — raw big-endian integers joined by a separator byte are not,
-    since integer bytes can contain the separator themselves.
-    """
-    material = encode_parts(
-        b"batch-vermem",
-        *(
-            value.to_bytes((value.bit_length() + 7) // 8 or 1, "big")
-            for value in (accumulated, index, prime, witness)
-        ),
-    )
-    return int.from_bytes(hashlib.sha256(material).digest()[:8], "big") | 1
-
-
-def batch_verify_membership(
-    modulus: int, accumulated: int, items: list[tuple[int, int]]
-) -> bool:
-    """One-pass check that every ``witness^prime == Ac`` (``items`` =
-    ``(prime, witness_value)`` pairs).  **Trusted inputs only.**
-
-    Uses the small-coefficient batching argument: with coefficients
-    ``r_i``, ``prod_i (w_i^{x_i})^{r_i} == Ac^{sum r_i}``.  Completeness is
-    exact (correct witnesses always pass), and a ``False`` means at least
-    one equation genuinely fails — callers fall back to per-item checks, so
-    a batch reject never mislabels an honest witness.
-
-    Soundness against an *adversarial* prover, however, does not hold in
-    ``Z_n*``: the group has the order-2 subgroup ``{±1}``, and a prover
-    that negates an even number of witnesses (``w → n−w``) contributes
-    ``(-1)^{x_i·r_i}`` factors that cancel pairwise (primes and the forced
-    odd coefficients are odd), so the aggregate accepts while every
-    per-item ``VerifyMem`` rejects.  Deriving the coefficients by
-    Fiat-Shamir does not close the gap — the prover can grind flip subsets
-    offline until the parities cancel — and neither does squaring into
-    ``QR_n`` (it erases exactly the sign being forged).  The check is
-    therefore only used where witnesses come from a party that cannot gain
-    by fooling itself: self-checks over locally computed witness caches
-    (see ``CloudServer``) and benchmark equivalence harnesses.  The
-    adversarial-facing verifier (``repro.core.verify``) stays per-item.
-    """
-    if not items:
-        return True
-    if any(prime < 2 for prime, _ in items):
-        return False
-    perfstats.incr("batch_verify.calls")
-    perfstats.incr("batch_verify.witnesses", len(items))
-    coefficients = [
-        _batch_coefficient(accumulated, i, prime, witness)
-        for i, (prime, witness) in enumerate(items)
-    ]
-    lhs = multi_exp(
-        [(witness, prime * r) for (prime, witness), r in zip(items, coefficients)],
-        modulus,
-    )
-    rhs = modmath.powmod(accumulated % modulus, sum(coefficients), modulus)
-    return lhs == rhs
-
-
 # ------------------------------------------------------------------- lifecycle
 
 def hash_memo_items(prime_bits: int, domain: bytes = b"H_prime") -> list:
@@ -622,34 +447,20 @@ def hash_memo_items(prime_bits: int, domain: bytes = b"H_prime") -> list:
     return list(memo.items()) if memo else []
 
 
-def trapdoor_chain_items(public) -> list[tuple[bytes, bytes]]:
-    """Snapshot of one public key's trapdoor-chain memo, in insertion order."""
-    cache = _TRAPDOOR_CHAINS.get((public.modulus, public.exponent))
-    return list(cache._memo.items()) if cache is not None else []
+def load_hash_memo(prime_bits: int, items, domain: bytes = b"H_prime") -> None:
+    """Reload a :func:`hash_memo_items` snapshot (warm restart).
 
-
-def _load_fifo(memo: dict, items, cap: int) -> None:
-    """Fold checkpointed entries in: first write wins, FIFO cap, no counters.
-
-    Every memo caches a pure deterministic function, so an entry already
-    present carries the same value; loading is cache state transfer, not
-    cache activity, so no hit/miss counter moves.
+    First write wins under the FIFO cap, and no counter moves: the memo
+    caches a pure deterministic function, so an entry already present
+    carries the same value, and loading is state transfer, not cache
+    activity.
     """
+    memo = _HASH_MEMOS.setdefault((prime_bits, domain), {})
     for key, value in items:
         if key not in memo:
-            if len(memo) >= cap:
+            if len(memo) >= HASH_MEMO_MAX:
                 del memo[next(iter(memo))]
             memo[key] = value
-
-
-def load_hash_memo(prime_bits: int, items, domain: bytes = b"H_prime") -> None:
-    """Reload a :func:`hash_memo_items` snapshot (warm restart)."""
-    _load_fifo(_HASH_MEMOS.setdefault((prime_bits, domain), {}), items, HASH_MEMO_MAX)
-
-
-def load_trapdoor_chain(public, items) -> None:
-    """Reload a :func:`trapdoor_chain_items` snapshot (warm restart)."""
-    _load_fifo(trapdoor_chain(public)._memo, items, TRAPDOOR_CACHE_MAX)
 
 
 #: Live per-instance caches owned outside this module — the clouds'
@@ -671,7 +482,6 @@ def clear_caches() -> None:
     _CERTIFIED.clear()
     _FIXED_BASES.clear()
     _COMBS.clear()
-    _TRAPDOOR_CHAINS.clear()
     _WNAF_LAST = None
     for cache in list(_INSTANCE_CACHES):
         cache.clear()
@@ -685,7 +495,6 @@ def cache_sizes() -> dict[str, int]:
             len(t) for kernel in _FIXED_BASES.values() for t in kernel._tables.values()
         ),
         "comb_tables": sum(len(comb._rows) * 256 for comb in _COMBS.values()),
-        "trapdoor_chain": sum(len(c) for c in _TRAPDOOR_CHAINS.values()),
         "wnaf_tables": 0
         if _WNAF_LAST is None
         else sum(len(pos) + len(neg) for pos, neg in _WNAF_LAST._tables.values()),

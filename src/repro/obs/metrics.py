@@ -177,12 +177,9 @@ class MetricsRegistry:
             "modmath.backend.",
             "wnaf.",
             "shard.",
-            "cloud.witness_cache.selfcheck",
-            "cloud.owner_witness.",
+            "cloud.witness.",
             "fixed_base.",
             "comb.",
-            "multi_exp.",
-            "batch_verify.",
             "mempool.",
             "blocks.",
             "light_client.",
@@ -198,15 +195,13 @@ class MetricsRegistry:
         the pure-python backend, so its activity is backend-shaped too).
         Topology-shaped counters are excluded the same way: ``shard.*``
         (routing/scatter bookkeeping only exists on a sharded tier),
-        the witness self-check (``cloud.witness_cache.selfcheck``),
-        ``cloud.owner_witness.*`` (owner witnesses reach a cloud on direct
-        and shard-package installs, never through the flat wire install),
-        ``fixed_base.*``, the owner's ``comb.*`` tables
-        and the whole ``multi_exp.*`` /
-        ``batch_verify.*`` families all count *per-serving-instance* events —
-        N shards each derive their own witness bases and self-check their
-        own caches — so these scale with the deployment shape, not with
-        protocol work.  Settlement-delivery machinery is excluded the same
+        ``cloud.witness.*`` (each cloud or shard checks every stored
+        witness it serves once per ``Ac``, and whether a witness was stored
+        depends on the install path and on precompute), ``fixed_base.*``
+        and the owner's ``comb.*`` tables all count *per-serving-instance*
+        events — N shards each derive their own witness bases and check
+        their own witnesses — so these scale with the deployment shape, not
+        with protocol work.  Settlement-delivery machinery is excluded the same
         way: ``mempool.*``, ``blocks.*`` and ``light_client.*`` only tick
         in block-settlement deployments, while the *outcomes* they deliver (contract settle counts, gas
         histograms, audit counts) stay in and must equal the synchronous

@@ -160,7 +160,6 @@ def render_block_settlements(records) -> list[str]:
 KNOWN_CACHES = (
     "cloud.entry_cache",
     "hash_to_prime",
-    "trapdoor_chain",
 )
 
 

@@ -18,11 +18,11 @@ Insert delta), instead of the whole-state snapshot blobs
   the digest of the optional warm-state checkpoint.  Rewritten atomically
   through :func:`state_io.save` (tmp + fsync + rename + directory fsync).
 * ``warm.slcr`` — an optional warm-restart checkpoint: entry-cache nodes,
-  the cloud's checked witness map and the kernel memo
-  slices (trapdoor chain, ``H_prime``), stamped with the ``(Ac, primes,
-  index)`` digests they were computed against.  Purely an accelerator: a
-  stale or missing checkpoint degrades to a cold rebuild, never to wrong
-  answers.
+  the cloud's checked witness map and its ``H_prime`` memo slice, stamped
+  with the ``(Ac, primes, index)`` digests they were computed against.
+  Purely an accelerator: a stale, malformed or missing checkpoint degrades
+  to a cold rebuild, never to wrong answers, and its witnesses are checked
+  per item again before they are served.
 
 **Commit protocol.**  ``append`` writes + fsyncs the segment file, fsyncs
 the directory, *then* swaps the manifest.  A crash between the two leaves
@@ -377,8 +377,8 @@ class WarmState(NamedTuple):
     ``ads_value`` / ``primes_digest`` / ``index_digest`` stamp the exact
     state the caches were computed against; a reopening cloud compares them
     to its replayed state and discards the checkpoint on any mismatch.
-    Collections preserve insertion order — the entry cache and kernel memos
-    evict FIFO by dict order, so rehydration must not re-sort them.
+    Collections preserve insertion order — the entry cache and the ``H_prime``
+    memo evict FIFO by dict order, so rehydration must not re-sort them.
     """
 
     ads_value: int
@@ -387,7 +387,6 @@ class WarmState(NamedTuple):
     #: ``[(node_key, (entries tuple, suffix_hash, next_trapdoor|None)), ...]``
     entry_nodes: list[tuple[bytes, tuple[tuple[bytes, ...], int, bytes | None]]]
     witnesses: dict[int, int]
-    trapdoor_items: list[tuple[bytes, bytes]]
     hash_items: list[tuple[bytes, tuple[int, int]]]
 
 
@@ -405,7 +404,6 @@ def pack_warm_state(
     index_dig: bytes,
     entry_nodes,
     witnesses: dict[int, int],
-    trapdoor_items,
     hash_items,
 ) -> bytes:
     """Serialize one warm checkpoint (inverse of :func:`unpack_warm_state`)."""
@@ -427,9 +425,6 @@ def pack_warm_state(
             for p, w in witnesses.items()
         ]
     )
-    trapdoor_blob = encode_parts(
-        *[encode_parts(t, image) for t, image in trapdoor_items]
-    )
     hash_blob = encode_parts(
         *[
             encode_parts(data, codec.encode_int(prime), codec.encode_int(counter))
@@ -442,7 +437,6 @@ def pack_warm_state(
         index_dig,
         nodes_blob,
         witness_blob,
-        trapdoor_blob,
         hash_blob,
     )
 
@@ -454,7 +448,7 @@ def unpack_warm_state(blob: bytes) -> WarmState:
 
     (
         ads_blob, primes_dig, index_dig,
-        nodes_blob, witness_blob, trapdoor_blob, hash_blob,
+        nodes_blob, witness_blob, hash_blob,
     ) = decode_parts(blob)
 
     entry_nodes = []
@@ -474,9 +468,6 @@ def unpack_warm_state(blob: bytes) -> WarmState:
     for packed in decode_parts(witness_blob):
         prime, witness = decode_parts(packed)
         witnesses[codec.decode_int(prime)] = codec.decode_int(witness)
-    trapdoor_items = [
-        tuple(decode_parts(packed)) for packed in decode_parts(trapdoor_blob)
-    ]
     hash_items = []
     for packed in decode_parts(hash_blob):
         data, prime, counter = decode_parts(packed)
@@ -487,6 +478,5 @@ def unpack_warm_state(blob: bytes) -> WarmState:
         index_dig,
         entry_nodes,
         witnesses,
-        trapdoor_items,  # type: ignore[arg-type]
         hash_items,
     )

@@ -78,10 +78,11 @@ class TestMultiEpochSearch:
         assert response.results[0].token.epoch == 3
 
     def test_epoch_walk_uses_chain_cache(self, tparams, owner_factory, monkeypatch):
-        """The multi-epoch walk must actually consult the kernel trapdoor
-        chain (an *empty* cache is still a cache — regression: truthiness of
-        the cache object once made the cold path skip it silently), and a
-        repeat search must not walk at all: the epoch-suffix entry cache
+        """The multi-epoch walk pays one ``π_pk`` step per older epoch on
+        the cold path (an *empty* entry cache is still a cache — regression:
+        truthiness of the cache object once made the cold path skip it
+        silently), and a repeat search must not walk at all: the
+        epoch-suffix entry cache's node links are the cached chain, and it
         serves the whole result from its head node."""
         from repro.common import perfstats
         from repro.crypto import kernels
@@ -101,17 +102,15 @@ class TestMultiEpochSearch:
         assert tokens[0].epoch == 3
 
         kernels.clear_caches()
-        perfstats.reset("trapdoor_chain.")
+        perfstats.reset("cloud.collect.")
         perfstats.reset("cloud.entry_cache.")
         first = cloud.search(tokens)
-        assert perfstats.get("trapdoor_chain.miss") == 3  # one modexp per step
-        assert perfstats.get("trapdoor_chain.hit") == 0
+        assert perfstats.get("cloud.collect.pi_steps") == 3  # one modexp per step
         assert perfstats.get("cloud.entry_cache.miss") == 1
         again = cloud.search(tokens)
-        # The repeat walk terminates at the cached head node: zero chain
-        # steps (neither misses nor hits) and every entry spliced.
-        assert perfstats.get("trapdoor_chain.miss") == 3
-        assert perfstats.get("trapdoor_chain.hit") == 0
+        # The repeat walk terminates at the cached head node: zero π_pk
+        # steps and every entry spliced.
+        assert perfstats.get("cloud.collect.pi_steps") == 3
         assert perfstats.get("cloud.entry_cache.hit") == 1
         assert perfstats.get("cloud.entry_cache.spliced_entries") == 4
         assert [r.entries for r in again.results] == [r.entries for r in first.results]

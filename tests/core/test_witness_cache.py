@@ -9,15 +9,13 @@ batch until ``Ac`` moves.
 import pytest
 
 from repro.common import perfstats
-from repro.common.errors import AccumulatorError
 from repro.common.rng import default_rng
 from repro.core import wire
-from repro.crypto import kernels
 from repro.core.cloud import CloudServer
 from repro.core.query import Query
 from repro.core.records import Database, make_database
 from repro.core.user import DataUser
-from repro.core.verify import verify_response
+from repro.core.verify import _result_prime, verify_response
 
 
 @pytest.fixture()
@@ -109,41 +107,56 @@ class TestCache:
         assert witness_work.memwit == memwit  # the precompute covered it
         assert verify_response(tparams, cloud.ads_value, response).ok
 
-    @pytest.mark.skipif(
-        not kernels.kernels_enabled(), reason="self-check rides the kernel layer"
-    )
-    def test_selfcheck_runs_on_precompute_and_refresh(self, world):
-        """The trusted-batch self-check covers every precompute, including
-        the refresh after an insert — its inputs are the cloud's own
-        witnesses, the one place the batch kernel's trusted-input
-        precondition holds."""
+    def test_precomputed_witnesses_checked_on_first_serve(self, world, tparams):
+        """Precomputed witnesses take the per-item ``VerifyMem`` owner
+        witnesses take: none at precompute, one per witness on its first
+        serve, none on a repeat, and again after an ``Ac``-moving insert
+        and the precompute that follows it."""
         owner, cloud, user, _ = world
-        perfstats.reset("cloud.witness_cache.")
+        perfstats.reset("cloud.witness.")
         cloud.precompute_witnesses()
-        assert perfstats.get("cloud.witness_cache.selfcheck") == 1
+        assert perfstats.get("cloud.witness.checked") == 0  # no eager check
+        tokens = user.make_tokens(Query.parse(100, ">"))
+        first = cloud.search(tokens)
+        served = len({r.witness.value for r in first.results})
+        assert perfstats.get("cloud.witness.checked") == served
+        cloud.search(tokens)
+        assert perfstats.get("cloud.witness.checked") == served  # once per Ac
         insert_without_witnesses(owner, cloud, user)
-        assert perfstats.get("cloud.witness_cache.selfcheck") == 1  # no eager refill
         cloud.precompute_witnesses()
-        assert perfstats.get("cloud.witness_cache.selfcheck") == 2
+        response = cloud.search(user.make_tokens(Query.parse(100, ">")))
+        assert perfstats.get("cloud.witness.checked") == served + len(
+            {r.witness.value for r in response.results}
+        )
+        assert perfstats.get("cloud.witness.rejected") == 0
+        assert verify_response(tparams, cloud.ads_value, response).ok
 
-    @pytest.mark.skipif(
-        not kernels.kernels_enabled(), reason="self-check rides the kernel layer"
-    )
-    def test_selfcheck_catches_corrupt_cache(self, world, tparams, monkeypatch):
-        """A precompute batch that fails the self-check raises and leaves
-        nothing behind: the next query is served live and verifies."""
+    def test_negated_precompute_pair_never_served(self, world, tparams, monkeypatch):
+        """A corrupt precompute batch that negates two witnesses
+        (``w → n−w``, which a random-linear-combination fold accepts) is
+        rejected per item on first serve: both primes are served live
+        ``MemWit`` instead, and the response verifies."""
         _, cloud, user, _ = world
+        tokens = user.make_tokens(Query.parse(100, ">"))
+        honest = cloud.search(tokens)
+        victims = sorted({_result_prime(tparams, r) for r in honest.results})[:2]
+        assert len(victims) == 2
+        n = tparams.accumulator.modulus
         root_witnesses = CloudServer._root_witnesses
 
         def corrupt(self, subset):
-            # 4 is not a witness for anything here.
-            return {p: 4 for p in root_witnesses(self, subset)}
+            return {
+                p: n - w if p in victims else w
+                for p, w in root_witnesses(self, subset).items()
+            }
 
         monkeypatch.setattr(CloudServer, "_root_witnesses", corrupt)
-        with pytest.raises(AccumulatorError):
-            cloud.precompute_witnesses()
+        cloud.precompute_witnesses()
         monkeypatch.undo()
-        response = cloud.search(user.make_tokens(Query.parse(100, ">")))
+        perfstats.reset("cloud.witness.")
+        response = cloud.search(tokens)
+        assert perfstats.get("cloud.witness.rejected") == 2
+        assert wire.dump_response(response) == wire.dump_response(honest)
         assert verify_response(tparams, cloud.ads_value, response).ok
 
     def test_cache_miss_produces_invalid_witness(self, world, tparams):

@@ -10,8 +10,6 @@ from repro.crypto.accumulator import (
     MembershipWitness,
     root_factor,
     verify_membership,
-    verify_membership_batch,
-    verify_nonmembership,
 )
 from repro.crypto.hash_to_prime import HashToPrime
 
@@ -229,65 +227,3 @@ class TestCertifiedPrimes:
         kernels.memoized_hash_to_prime(64)(b"certified-composite")
         with pytest.raises(AccumulatorError):
             Accumulator(params).add_many([(1 << 63) + 1])
-
-
-class TestNonMembership:
-    def test_nonmembership_verifies(self, params, primes):
-        acc = Accumulator(params, primes[:6])
-        w = acc.nonmembership_witness(primes[8])
-        assert verify_nonmembership(params, acc.value, primes[8], w)
-
-    def test_nonmembership_for_member_rejected(self, params, primes):
-        acc = Accumulator(params, primes[:6])
-        with pytest.raises(AccumulatorError):
-            acc.nonmembership_witness(primes[0])
-
-    def test_nonmembership_wrong_element_fails(self, params, primes):
-        acc = Accumulator(params, primes[:6])
-        w = acc.nonmembership_witness(primes[8])
-        assert not verify_nonmembership(params, acc.value, primes[9], w)
-
-
-class TestVerifyMembershipBatch:
-    def _deploy(self, params, primes):
-        acc = Accumulator(params.public(), primes)
-        witnesses = {p: acc.witness(p) for p in primes}
-        return acc.value, [(p, witnesses[p]) for p in primes]
-
-    def test_default_matches_per_item_verdicts(self, params, primes):
-        ac, items = self._deploy(params, primes)
-        assert verify_membership_batch(params, ac, items) == [True] * len(items)
-        items[3] = (items[3][0], MembershipWitness(items[3][1].value + 1))
-        verdicts = verify_membership_batch(params, ac, items)
-        assert verdicts == [
-            verify_membership(params, ac, p, w) for p, w in items
-        ]
-        assert verdicts[3] is False and sum(verdicts) == len(items) - 1
-
-    def test_default_rejects_even_sign_flips(self, params, primes):
-        """The ±1 malleability attack a dishonest cloud can mount: negate an
-        even number of witnesses.  Aggregate random-linear-combination checks
-        accept such a batch, so the untrusted default must stay per-item and
-        flag exactly the flipped entries."""
-        n = params.modulus
-        ac, items = self._deploy(params, primes)
-        for i in (1, 4):
-            prime, witness = items[i]
-            items[i] = (prime, MembershipWitness(n - witness.value))
-        verdicts = verify_membership_batch(params, ac, items)
-        assert [i for i, ok in enumerate(verdicts) if not ok] == [1, 4]
-
-    def test_trusted_fast_path_same_verdicts_on_honest_input(self, params, primes):
-        ac, items = self._deploy(params, primes)
-        assert verify_membership_batch(params, ac, items, trusted=True) == [
-            True
-        ] * len(items)
-
-    def test_trusted_falls_back_per_item_on_reject(self, params, primes):
-        ac, items = self._deploy(params, primes)
-        items[0] = (items[0][0], MembershipWitness(items[0][1].value * 2 % params.modulus))
-        verdicts = verify_membership_batch(params, ac, items, trusted=True)
-        assert verdicts[0] is False and all(verdicts[1:])
-
-    def test_empty_batch(self, params):
-        assert verify_membership_batch(params, 1, []) == []

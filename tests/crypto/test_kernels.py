@@ -13,26 +13,15 @@ from repro.crypto.kernels import (
     FixedBaseComb,
     FixedBaseExp,
     MemoizedHashToPrime,
-    TrapdoorChainCache,
-    batch_verify_membership,
     comb_pows,
     fixed_base_pow,
     memoized_hash_to_prime,
-    multi_exp,
 )
-from repro.crypto.modmath import product
-from repro.crypto.trapdoor import TrapdoorKeyPair
 
 
 @pytest.fixture(scope="module")
 def acc_params():
     return AccumulatorParams.demo(512)
-
-
-@pytest.fixture(scope="module")
-def primes():
-    h = HashToPrime(64)
-    return [h(i.to_bytes(4, "big")) for i in range(10)]
 
 
 class TestMemoizedHashToPrime:
@@ -139,144 +128,6 @@ class TestFixedBaseExp:
         assert kernels.cache_sizes()["fixed_base_tables"] == 0
 
 
-class TestMultiExp:
-    def test_matches_product_of_pows(self, acc_params):
-        n = acc_params.modulus
-        rng = default_rng(99)
-        pairs = [
-            (rng.randrange(2, n), rng.randbits(256))
-            for _ in range(6)
-        ]
-        expected = 1
-        for base, exp in pairs:
-            expected = expected * pow(base, exp, n) % n
-        assert multi_exp(pairs, n) == expected
-
-    def test_empty_and_zero_exponents(self, acc_params):
-        n = acc_params.modulus
-        assert multi_exp([], n) == 1 % n
-        assert multi_exp([(12345, 0)], n) == 1 % n
-        assert multi_exp([(7, 0), (11, 3)], n) == pow(11, 3, n)
-
-    def test_mixed_exponent_lengths(self, acc_params):
-        n = acc_params.modulus
-        pairs = [(3, 5), (5, 1 << 300), (7, (1 << 600) + 1)]
-        expected = 1
-        for base, exp in pairs:
-            expected = expected * pow(base, exp, n) % n
-        assert multi_exp(pairs, n) == expected
-
-    def test_negative_exponent_rejected(self, acc_params):
-        """A negative exponent raises (like FixedBaseExp.pow) instead of
-        being silently treated as zero."""
-        with pytest.raises(ValueError):
-            multi_exp([(3, 5), (5, -1)], acc_params.modulus)
-
-
-class TestBatchVerifyMembership:
-    def _accumulate(self, acc_params, primes):
-        n, g = acc_params.modulus, acc_params.generator
-        total = product(primes)
-        ac = pow(g, total, n)
-        witnesses = [(p, pow(g, total // p, n)) for p in primes]
-        return ac, witnesses
-
-    def test_accepts_all_valid(self, acc_params, primes):
-        ac, items = self._accumulate(acc_params, primes)
-        assert batch_verify_membership(acc_params.modulus, ac, items)
-
-    def test_rejects_one_bad_witness(self, acc_params, primes):
-        ac, items = self._accumulate(acc_params, primes)
-        prime, witness = items[3]
-        items[3] = (prime, witness * acc_params.generator % acc_params.modulus)
-        assert not batch_verify_membership(acc_params.modulus, ac, items)
-
-    def test_rejects_wrong_prime(self, acc_params, primes):
-        ac, items = self._accumulate(acc_params, primes)
-        items[0] = (items[0][0] + 2, items[0][1])
-        assert not batch_verify_membership(acc_params.modulus, ac, items)
-
-    def test_rejects_degenerate_prime(self, acc_params, primes):
-        ac, items = self._accumulate(acc_params, primes)
-        items[0] = (1, items[0][1])
-        assert not batch_verify_membership(acc_params.modulus, ac, items)
-
-    def test_even_sign_flips_fool_the_batch(self, acc_params, primes):
-        """Documents WHY the kernel is trusted-input-only: negating an even
-        number of witnesses (w → n−w) cancels the ``(-1)^(x·r)`` factors
-        pairwise (primes and forced-odd coefficients are odd), so the
-        aggregate accepts while per-item ``VerifyMem`` rejects every flip.
-        The adversarial-facing verifier therefore never calls this kernel —
-        ``verify_membership_batch`` defaults to per-item checks."""
-        n = acc_params.modulus
-        ac, items = self._accumulate(acc_params, primes)
-        for i in (2, 5):
-            prime, witness = items[i]
-            items[i] = (prime, n - witness)
-            assert pow(n - witness, prime, n) != ac % n  # per-item rejects
-        assert batch_verify_membership(n, ac, items)  # the batch is fooled
-
-    def test_odd_sign_flip_rejected(self, acc_params, primes):
-        n = acc_params.modulus
-        ac, items = self._accumulate(acc_params, primes)
-        prime, witness = items[4]
-        items[4] = (prime, n - witness)
-        assert not batch_verify_membership(n, ac, items)
-
-    def test_empty_batch_is_vacuously_true(self, acc_params):
-        assert batch_verify_membership(acc_params.modulus, 1, [])
-
-    def test_deterministic(self, acc_params, primes):
-        ac, items = self._accumulate(acc_params, primes)
-        runs = {batch_verify_membership(acc_params.modulus, ac, items) for _ in range(3)}
-        assert runs == {True}
-
-
-class TestTrapdoorChainCache:
-    @pytest.fixture(scope="class")
-    def keys(self):
-        return TrapdoorKeyPair.generate(512, default_rng(41))
-
-    def test_step_matches_apply(self, keys):
-        cache = TrapdoorChainCache(keys.public)
-        trapdoor = b"\x01" * keys.public.byte_len
-        assert cache.step(trapdoor) == keys.public.apply(trapdoor)
-
-    def test_repeat_walk_hits(self, keys):
-        cache = TrapdoorChainCache(keys.public)
-        trapdoor = b"\x02" * keys.public.byte_len
-        chain = [trapdoor]
-        for _ in range(4):
-            chain.append(cache.step(chain[-1]))
-        perfstats.reset("trapdoor_chain.")
-        replay = [trapdoor]
-        for _ in range(4):
-            replay.append(cache.step(replay[-1]))
-        assert replay == chain
-        assert perfstats.get("trapdoor_chain.hit") == 4
-        assert perfstats.get("trapdoor_chain.miss") == 0
-        assert len(cache) == 4
-
-    def test_new_head_misses_once_then_resumes(self, keys):
-        """A forward-secure Insert's new trapdoor costs one miss; its image
-        lands on the already-cached chain — the no-invalidation argument."""
-        cache = TrapdoorChainCache(keys.public)
-        old_head = b"\x03" * keys.public.byte_len
-        cache.step(old_head)
-        new_head = keys.invert(old_head)  # owner's pull-back: π_pk(new) == old
-        perfstats.reset("trapdoor_chain.")
-        assert cache.step(new_head) == old_head
-        assert cache.step(old_head) == keys.public.apply(old_head)
-        assert perfstats.get("trapdoor_chain.miss") == 1
-        assert perfstats.get("trapdoor_chain.hit") == 1
-
-    def test_module_cache_keyed_by_public_key(self, keys):
-        kernels.clear_caches()
-        assert kernels.trapdoor_chain(keys.public) is kernels.trapdoor_chain(keys.public)
-        other = TrapdoorKeyPair.generate(512, default_rng(42))
-        assert kernels.trapdoor_chain(other.public) is not kernels.trapdoor_chain(keys.public)
-
-
 class TestFixedBaseComb:
     def test_matches_builtin_pow(self, acc_params):
         p = acc_params.p
@@ -308,7 +159,6 @@ class TestLifecycle:
         # their own keys; everything must read empty after a clear.
         assert sizes["hash_to_prime"] == 0
         assert sizes["fixed_base_tables"] == 0
-        assert sizes["trapdoor_chain"] == 0
         assert all(count == 0 for count in sizes.values())
         assert not kernels.certified_prime(certified)
 

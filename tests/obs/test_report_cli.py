@@ -95,8 +95,6 @@ def metrics_file(tmp_path):
             "cloud.collect.index_probes": 17,
             "batch.unique_tokens": 5,
             "batch.dedup_saved": 7,
-            "hash_to_prime.hit": 2,
-            "hash_to_prime.miss": 8,
         }
     }))
     return str(path)
@@ -116,10 +114,11 @@ class TestMetricsSection:
         never-asked is a different finding than always-missing."""
         assert main(["report", "--metrics", metrics_file]) == 0
         out = capsys.readouterr().out
-        trapdoor_row = next(
-            line for line in out.splitlines() if line.startswith("trapdoor_chain")
+        # hash_to_prime is a known cache the fixture never consults.
+        memo_row = next(
+            line for line in out.splitlines() if line.startswith("hash_to_prime")
         )
-        assert "n/a" in trapdoor_row
+        assert "n/a" in memo_row
 
     def test_json_stats(self, metrics_file, capsys):
         assert main(["report", "--metrics", metrics_file, "--json"]) == 0
@@ -127,7 +126,7 @@ class TestMetricsSection:
         assert stats["cloud.entry_cache"]["hits"] == 9
         assert stats["cloud.entry_cache"]["hit_rate"] == 0.75
         assert stats["cloud.entry_cache"]["evicted"] == 1
-        assert stats["trapdoor_chain"]["hit_rate"] is None
+        assert stats["hash_to_prime"]["hit_rate"] is None
 
     def test_raw_counter_dict_accepted(self, tmp_path, capsys):
         path = tmp_path / "counters.json"

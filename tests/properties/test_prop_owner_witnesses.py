@@ -91,9 +91,9 @@ class TestCorruptOwnerWitness:
         n = tparams.accumulator.modulus
         cloud._witnesses[victim] = honest * tparams.accumulator.generator % n
 
-        perfstats.reset("cloud.owner_witness.")
+        perfstats.reset("cloud.witness.")
         outcome = s.search(query, payment=5000)
-        assert perfstats.get("cloud.owner_witness.rejected") == 1
+        assert perfstats.get("cloud.witness.rejected") == 1
         assert outcome.verified
         assert outcome.response.results[0].witness.value == honest
         assert s.balances()["user"] == DEFAULT_FUNDING - 5000
@@ -157,8 +157,8 @@ class TestWireInstall:
         )
         s.setup(database([3, 9, 9, 200, 64]))
         s.insert(database([9, 130], start=100))  # moves Ac: a full re-issue, over the wire
-        checked = perfstats.get("cloud.owner_witness.checked")
+        checked = perfstats.get("cloud.witness.checked")
         outcome = s.search(Query.parse(9, "="))
         assert outcome.verified
-        assert perfstats.get("cloud.owner_witness.checked") > checked
+        assert perfstats.get("cloud.witness.checked") > checked
         assert witness_work.memwit == 0  # no live MemWit

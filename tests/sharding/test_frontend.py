@@ -282,10 +282,10 @@ class TestShardPackageWitnesses:
 
     def test_wire_install_serves_owner_witnesses(self, tparams, owner_factory, witness_work):
         system = self._system(tparams, owner_factory)
-        checked = perfstats.get("cloud.owner_witness.checked")
+        checked = perfstats.get("cloud.witness.checked")
         outcome = system.search(QUERIES[0])
         assert outcome.verified
-        assert perfstats.get("cloud.owner_witness.checked") > checked
+        assert perfstats.get("cloud.witness.checked") > checked
         assert witness_work.memwit == 0  # no live MemWit
 
     def test_tampered_witness_rejected_then_search_pays(
@@ -305,8 +305,8 @@ class TestShardPackageWitnesses:
 
         monkeypatch.setattr(state_io, "dump_cloud_package", tampering_dump)
         system = self._system(tparams, owner_factory)
-        rejected = perfstats.get("cloud.owner_witness.rejected")
+        rejected = perfstats.get("cloud.witness.rejected")
         outcome = system.search(QUERIES[0])
-        assert perfstats.get("cloud.owner_witness.rejected") == rejected + 1
+        assert perfstats.get("cloud.witness.rejected") == rejected + 1
         assert outcome.verified and outcome.settle_receipt.return_value is True
         assert system.balances() == twin.balances()

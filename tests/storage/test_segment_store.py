@@ -10,13 +10,16 @@ import pytest
 
 from repro.common import perfstats
 from repro.common.errors import StateError
+from repro.common.encoding import decode_parts, encode_parts
 from repro.common.rng import default_rng
+from repro.core import wire
 from repro.core.cloud import CloudServer
 from repro.core.query import Query
 from repro.core.records import make_database
 from repro.core.user import DataUser
-from repro.core.verify import verify_response
+from repro.core.verify import _result_prime, verify_response
 from repro.storage import SegmentStore
+from repro.system import DEFAULT_PAYMENT, SlicerSystem
 from repro.storage.segment_store import (
     MANIFEST_NAME,
     WARM_NAME,
@@ -33,6 +36,11 @@ def world(tparams, owner_factory):
     db = make_database([(f"r{i}", (i * 23) % 256) for i in range(15)], bits=8)
     out = owner.build(db)
     return owner, out, db
+
+
+def served_witnesses(response) -> int:
+    """Distinct witnesses in a response: one per-item check each."""
+    return len({result.witness.value for result in response.results})
 
 
 def sample_segments():
@@ -153,7 +161,6 @@ class TestWarmCheckpoint:
             [(b"node-key", ((b"e1", b"e2"), 12345, b"next-t")),
              (b"other-key", ((), 0, None))],
             {3: 99, 5: 101},
-            [(b"t0", b"t1")],
             [(b"data", (1009, 4))],
         )
         warm = unpack_warm_state(packed)
@@ -164,9 +171,8 @@ class TestWarmCheckpoint:
             (b"other-key", ((), 0, None)),
         ]
         assert warm.witnesses == {3: 99, 5: 101}
-        assert warm.trapdoor_items == [(b"t0", b"t1")]
         assert warm.hash_items == [(b"data", (1009, 4))]
-        empty = pack_warm_state(0, b"\x00" * 32, b"\x01" * 32, [], {}, [], [])
+        empty = pack_warm_state(0, b"\x00" * 32, b"\x01" * 32, [], {}, [])
         assert unpack_warm_state(empty).witnesses == {}
 
 
@@ -223,20 +229,23 @@ class TestCloudReopen:
         # Replay + warm load happen here, outside the measured leg.
         assert resumed.prime_count == cloud.prime_count
         base = perfstats.snapshot()
-        work = witness_work.total
+        memwit, checks = witness_work.memwit, witness_work.checks
         response = resumed.search(tokens)
         delta = perfstats.delta_since(base)
         assert response == warm_response
         assert delta.get("cloud.collect.index_probes", 0) == 0
         assert delta.get("cloud.collect.prf_evals", 0) == 0
-        assert witness_work.total == work
+        assert witness_work.memwit == memwit
+        # Checkpointed witnesses are checked once each on first serve.
+        assert witness_work.checks == checks + served_witnesses(response)
         assert list(resumed._entry_cache.nodes) == node_keys
 
     def test_warm_reopen_keeps_owner_witness_coverage(
         self, world, tparams, tmp_path, witness_work
     ):
         """Owner witnesses are checked and checkpointed, so the first (never
-        before served) query after reopen needs no MemWit and no check."""
+        before served) query after reopen needs no MemWit, only the per-item
+        check of each witness it serves."""
         owner, out, _ = world
         cloud = self.make_cloud(tparams, owner, tmp_path / "store")
         cloud.install(out.cloud_package)
@@ -250,16 +259,17 @@ class TestCloudReopen:
         resumed = self.make_cloud(tparams, owner)
         resumed.reopen(tmp_path / "store")
         assert resumed.prime_count == cloud.prime_count
-        work = witness_work.total
+        memwit, checks = witness_work.memwit, witness_work.checks
         response = resumed.search(tokens)
-        assert witness_work.total == work
+        assert witness_work.memwit == memwit
+        assert witness_work.checks == checks + served_witnesses(response)
         assert response == expected
 
     def test_warm_checkpoint_round_trips_computed_witnesses(
         self, world, tparams, tmp_path, witness_work
     ):
         """A witness-less cloud's precomputed map survives the checkpoint:
-        the reopened cloud's first covered query does no witness work."""
+        the reopened cloud's first covered query runs no MemWit."""
         owner, out, _ = world
         cloud = self.make_cloud(tparams, owner, tmp_path / "store")
         cloud.install(out.cloud_package.without_witnesses())
@@ -274,9 +284,10 @@ class TestCloudReopen:
         base = perfstats.snapshot()
         assert resumed.prime_count == cloud.prime_count
         assert perfstats.delta_since(base)["segstore.warm.loaded"] == 1
-        work = witness_work.total
+        memwit, checks = witness_work.memwit, witness_work.checks
         response = resumed.search(tokens)
-        assert witness_work.total == work
+        assert witness_work.memwit == memwit
+        assert witness_work.checks == checks + served_witnesses(response)
         assert response == expected
         assert verify_response(tparams, resumed.ads_value, response).ok
 
@@ -325,3 +336,110 @@ class TestCloudReopen:
         snapshot = cloud.snapshot()
         with pytest.raises(StateError, match="use reopen"):
             cloud.restore(snapshot)
+
+
+class TestCheckpointWitnessesCheckedPerItem:
+    """Checkpoint bytes are untrusted input: every stored witness they carry
+    takes the per-item ``VerifyMem`` on first serve, so a corrupt one is
+    dropped for live ``MemWit`` instead of crashing or costing the fee."""
+
+    QUERY = Query.parse(100, ">")
+
+    @pytest.fixture()
+    def checkpointed(self, tparams, owner_factory, tmp_path):
+        system = SlicerSystem(
+            tparams,
+            rng=default_rng(3),
+            owner=owner_factory(tparams, seed=205),
+            store_dir=tmp_path / "store",
+        )
+        system.setup(make_database([(f"r{i}", (i * 37) % 256) for i in range(30)], bits=8))
+        first = system.search(self.QUERY)
+        assert first.verified
+        system.cloud.checkpoint()
+        primes = [_result_prime(tparams, result) for result in first.response.results]
+        return system, first, primes, tmp_path / "store"
+
+    @staticmethod
+    def rewrite_warm(store_dir, edit) -> None:
+        """Re-pack the committed checkpoint with ``edit`` applied to its
+        witness map; the manifest records the new digest, so the reopening
+        cloud loads it as a well-formed checkpoint."""
+        store = SegmentStore.open(store_dir)
+        warm = unpack_warm_state(store.read_warm())
+        store.write_warm(
+            pack_warm_state(
+                warm.ads_value,
+                warm.primes_digest,
+                warm.index_digest,
+                warm.entry_nodes,
+                edit(dict(warm.witnesses)),
+                warm.hash_items,
+            )
+        )
+
+    def reopen_and_search(self, system):
+        system.cloud.reopen()
+        base = perfstats.snapshot()
+        cloud_before = system.balances()["cloud"]
+        outcome = system.search(self.QUERY)
+        paid = system.balances()["cloud"] - cloud_before
+        return outcome, paid, perfstats.delta_since(base)
+
+    @staticmethod
+    def assert_same_bytes(system, first) -> None:
+        """The reopened cloud answers the first search's tokens byte for byte."""
+        again = system.cloud.search(first.tokens)
+        assert wire.dump_response(again) == wire.dump_response(first.response)
+
+    def test_one_tampered_witness_is_rejected_and_the_search_pays(self, checkpointed, tparams):
+        system, first, primes, store_dir = checkpointed
+        n = tparams.accumulator.modulus
+
+        def tamper(witnesses):
+            witnesses[primes[0]] = witnesses[primes[0]] * 2 % n
+            return witnesses
+
+        self.rewrite_warm(store_dir, tamper)
+        outcome, paid, delta = self.reopen_and_search(system)
+        assert delta["segstore.warm.loaded"] == 1
+        assert delta["cloud.witness.rejected"] == 1
+        assert outcome.verified and paid == DEFAULT_PAYMENT
+        assert outcome.record_ids == first.record_ids
+        self.assert_same_bytes(system, first)
+
+    def test_negated_witness_pair_is_rejected_and_the_search_pays(self, checkpointed, tparams):
+        """``w → n−w`` on two witnesses passes a random-linear-combination
+        fold; the per-item check rejects both."""
+        system, first, primes, store_dir = checkpointed
+        assert len(set(primes)) >= 2
+        n = tparams.accumulator.modulus
+        victims = sorted(set(primes))[:2]
+
+        def negate(witnesses):
+            for prime in victims:
+                witnesses[prime] = n - witnesses[prime]
+            return witnesses
+
+        self.rewrite_warm(store_dir, negate)
+        outcome, paid, delta = self.reopen_and_search(system)
+        assert delta["cloud.witness.rejected"] == 2
+        assert outcome.verified and paid == DEFAULT_PAYMENT
+        assert outcome.record_ids == first.record_ids
+        self.assert_same_bytes(system, first)
+
+    def test_old_seven_part_checkpoint_reopens_cold(self, checkpointed):
+        """The checkpoint before the trapdoor-chain part was dropped had a
+        sixth part for it; such a file is malformed now, and the cloud
+        reopens cold with byte-identical answers."""
+        system, first, _, store_dir = checkpointed
+        store = SegmentStore.open(store_dir)
+        parts = decode_parts(store.read_warm())
+        assert len(parts) == 6
+        store.write_warm(encode_parts(*parts[:5], encode_parts(), parts[5]))
+        outcome, paid, delta = self.reopen_and_search(system)
+        assert delta["segstore.warm.invalid"] == 1
+        assert "segstore.warm.loaded" not in delta
+        assert outcome.verified and paid == DEFAULT_PAYMENT
+        assert outcome.record_ids == first.record_ids
+        self.assert_same_bytes(system, first)
