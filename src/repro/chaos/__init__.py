@@ -3,10 +3,11 @@ injection on the ``user → contract``, ``contract → cloud``,
 ``cloud → contract`` and ``owner → cloud/chain`` boundaries, plus the
 retry/timeout/backoff machinery that survives it.
 
-Opt-in only: construct a :class:`ChaosTransport` and hand it to
-:class:`~repro.system.SlicerSystem`.  With no transport (the default)
-nothing here runs and the direct in-process path is byte-identical to
-before this package existed.
+Every leg of :class:`~repro.system.SlicerSystem` is one
+``transport.deliver`` call.  The default transport, :data:`DIRECT`, calls
+the handler in-process and does nothing else; hand the system a
+:class:`ChaosTransport` to put every leg (single searches, batches, plans,
+installs and ADS updates alike) behind the fault plan and its retries.
 """
 
 from .faults import (
@@ -21,12 +22,13 @@ from .faults import (
     chain_profile_named,
     profile_named,
 )
-from .retry import RetryPolicy
+from .retry import RETRY, RetryPolicy
 from .transport import (
     CLOUD_TO_CONTRACT,
     CONTRACT_TO_CLOUD,
     OWNER_TO_CLOUD,
     OWNER_TO_CONTRACT,
+    DIRECT,
     USER_TO_CONTRACT,
     ChaosTransport,
     shard_channel,
@@ -43,7 +45,9 @@ __all__ = [
     "FaultProfile",
     "chain_profile_named",
     "profile_named",
+    "RETRY",
     "RetryPolicy",
+    "DIRECT",
     "ChaosTransport",
     "USER_TO_CONTRACT",
     "CONTRACT_TO_CLOUD",

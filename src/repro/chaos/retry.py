@@ -12,7 +12,8 @@ delivery failures (and explicitly transient chain reverts, e.g. a stale
 ADS digest during a concurrent insert) are.  When the budget runs out the
 policy raises :class:`~repro.common.errors.RetryExhausted`, which
 :class:`~repro.system.SlicerSystem` degrades into a ``SearchOutcome`` error
-state instead of an unhandled exception.
+state instead of an unhandled exception.  Every faulting leg runs under the
+one default policy, :data:`RETRY`.
 
 Counters: ``retry.attempts`` (every attempt), ``retry.recovered`` (success
 after ≥1 failure), ``retry.gave_up`` (budget exhausted).
@@ -118,3 +119,7 @@ class RetryPolicy:
             last_error=last,
             fault_step=fault_step,
         ) from last
+
+
+#: The policy every :class:`~repro.chaos.ChaosTransport` leg retries under.
+RETRY = RetryPolicy()

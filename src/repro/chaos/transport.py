@@ -1,10 +1,21 @@
-"""The chaos transport: fault-injected delivery on the party boundaries.
+"""Transports: how a message crosses a party boundary.
 
-:class:`ChaosTransport` carries one serialized message (real wire bytes —
-callers serialize through :mod:`repro.core.wire` / :mod:`repro.storage`
-codecs) from a sender to a receiving ``handler`` and returns the handler's
-reply.  Before, during and after delivery it consults a
-:class:`~repro.chaos.faults.FaultPlan` and injects:
+Every leg of the protocol is one ``transport.deliver(channel, message,
+handler, ...)`` call inside one ``transport.retried(label, op)`` scope.
+Two transports implement that interface:
+
+* :data:`DIRECT` (:class:`DirectTransport`, the default) — the boundary is
+  an in-process call: ``deliver`` returns ``handler(message)`` and
+  ``retried`` runs ``op`` once;
+* :class:`ChaosTransport` — everything only a faulting transport needs:
+  it encodes the message with the leg's ``codec`` (:mod:`repro.core.wire`
+  / :mod:`repro.storage` functions), frames it with a content digest,
+  injects faults, keeps the receiver-side idempotency cache, crash-restarts
+  the receiving ``endpoint`` and retries under :data:`~repro.chaos.retry.
+  RETRY`.
+
+Before, during and after a chaos delivery a
+:class:`~repro.chaos.faults.FaultPlan` injects:
 
 * **drop / stall** — the request never arrives (or arrives too late):
   the virtual clock advances past the delivery window and
@@ -15,9 +26,8 @@ reply.  Before, during and after delivery it consults a
   :class:`~repro.common.errors.TransportCorruption`,
 * **reorder** — the message is held and delivered *after* the next message
   on the same channel (stale at-least-once delivery),
-* **crash** — the receiving endpoint dies before processing; the caller's
-  ``on_crash`` hook restarts it (the cloud reloads its
-  :mod:`~repro.storage.state_io` snapshot) and the request is lost,
+* **crash** — the receiving endpoint dies before processing and restarts
+  from its durable state; the request is lost,
 * **duplicate** — the handler sees the message twice; receiver-side
   idempotency (``idempotency_key``) deduplicates state-changing calls,
 * **reply drop / stall** — the handler ran but its answer is lost, which
@@ -38,6 +48,7 @@ from ..common.encoding import decode_parts, encode_parts
 from ..common.errors import ParameterError, TransportCorruption, TransportTimeout
 from ..obs import trace
 from .faults import FaultKind, FaultPlan, FaultProfile, profile_named
+from .retry import RETRY
 
 # Channel names for the Fig. 1 party boundaries.
 USER_TO_CONTRACT = "user->contract"
@@ -60,6 +71,10 @@ def shard_channel(base: str, shard_id: int) -> str:
     return f"{base}#shard{shard_id}"
 
 
+#: The codec of a message that already is wire bytes.
+RAW = (bytes, bytes)
+
+
 def frame(payload: bytes) -> bytes:
     """Wrap wire bytes with a content digest (the transport integrity layer)."""
     return encode_parts(hashlib.sha256(payload).digest(), payload)
@@ -76,8 +91,31 @@ def unframe(blob: bytes) -> bytes:
     return payload
 
 
+class DirectTransport:
+    """The default transport: every party boundary is an in-process call.
+
+    It cannot fault, so it does nothing a faulting transport needs: no
+    encoding, framing, retry, idempotency cache, crash restart, counters or
+    spans.  :data:`DIRECT` is its one instance.
+    """
+
+    name = "direct"
+
+    def deliver(self, channel: str, message, handler, **leg):
+        return handler(message)
+
+    def retried(self, label: str, op):
+        """Run ``op`` once; ``None`` marks an attempt that is not numbered."""
+        return op(None)
+
+
+DIRECT = DirectTransport()
+
+
 class ChaosTransport:
     """Deterministic fault-injecting message channel between parties."""
+
+    name = "chaos"
 
     def __init__(
         self,
@@ -95,7 +133,7 @@ class ChaosTransport:
         #: Receiver-side idempotency cache: key -> cached handler reply.
         self._idempotent: dict[object, object] = {}
         #: Reordered messages awaiting stale delivery, per channel.
-        self._held: dict[str, list[tuple[bytes, object, object, object]]] = {}
+        self._held: dict[str, list[tuple]] = {}
 
     # ------------------------------------------------------------ builders
 
@@ -114,28 +152,33 @@ class ChaosTransport:
     def deliver(
         self,
         channel: str,
-        payload: bytes,
+        message,
         handler,
         *,
+        codec=RAW,
         idempotency_key: object | None = None,
         cache_if=None,
-        on_crash=None,
+        endpoint=None,
     ):
-        """Carry ``payload`` to ``handler`` through the fault plan.
+        """Carry ``message`` to ``handler`` through the fault plan.
 
-        ``handler`` receives the (verified) wire bytes and returns the reply
-        object.  ``idempotency_key`` enables receiver-side dedup: a repeated
-        delivery of the same logical operation returns the cached reply
-        instead of re-executing — this is what makes re-submission after a
-        lost reply safe.  ``cache_if(reply)`` limits which replies are
-        cached (e.g. only non-reverted receipts, so a transiently reverting
-        call re-executes).  ``on_crash`` restarts the receiving endpoint
-        when a crash fault fires.
+        ``codec`` is the leg's ``(dump, load)`` pair: the message crosses as
+        the framed ``dump(message)`` bytes and ``handler`` receives
+        ``load(bytes)``; the handler's reply is returned as is.
+        ``idempotency_key`` enables receiver-side dedup: a repeated delivery
+        of the same logical operation returns the cached reply instead of
+        re-executing — this is what makes re-submission after a lost reply
+        safe.
+        ``cache_if(reply)`` limits which replies are cached (e.g. only
+        non-reverted receipts, so a transiently reverting call
+        re-executes).  ``endpoint`` is the receiving cloud (or shard) a
+        crash fault restarts.
 
         Raises :class:`TransportTimeout` / :class:`TransportCorruption` for
-        the caller's retry policy to absorb.
+        :meth:`retried` to absorb.
         """
-        framed = frame(payload)
+        dump, load = codec
+        framed = frame(dump(message))
         self._deliver_stale(channel)
         fault = self.plan.draw_request(channel)
         if fault is not None:
@@ -146,8 +189,8 @@ class ChaosTransport:
             self._timeout("chaos.injected.stall", f"{channel}: request stalled")
         if fault is FaultKind.CRASH:
             perfstats.incr("chaos.injected.crash")
-            if on_crash is not None:
-                on_crash()
+            if endpoint is not None:
+                self._restart(channel, endpoint)
             self.clock += self.timeout_s
             raise TransportTimeout(f"{channel}: endpoint crashed mid-delivery")
         if fault is FaultKind.CORRUPT:
@@ -167,17 +210,17 @@ class ChaosTransport:
         if fault is FaultKind.REORDER:
             perfstats.incr("chaos.injected.reorder")
             self._held.setdefault(channel, []).append(
-                (framed, handler, idempotency_key, cache_if)
+                (framed, load, handler, idempotency_key, cache_if)
             )
             self.clock += self.timeout_s
             raise TransportTimeout(f"{channel}: request overtaken (reordered)")
 
         self.clock += self.latency_s
-        result = self._handle(framed, handler, idempotency_key, cache_if)
+        result = self._handle(framed, load, handler, idempotency_key, cache_if)
         if self.plan.draw_duplicate(channel):
             perfstats.incr("chaos.injected.duplicate")
             self._trace_fault(channel, FaultKind.DUPLICATE, leg="request")
-            self._handle(framed, handler, idempotency_key, cache_if)
+            self._handle(framed, load, handler, idempotency_key, cache_if)
         reply_fault = self.plan.draw_reply(channel)
         if reply_fault is not None:
             self._trace_fault(channel, reply_fault, leg="reply")
@@ -187,7 +230,32 @@ class ChaosTransport:
             self._timeout("chaos.injected.reply_stall", f"{channel}: reply stalled")
         return result
 
+    def retried(self, label: str, op):
+        """Run ``op(attempt)`` under :data:`RETRY`, backing off on this clock.
+
+        Transport errors are retried; when the budget runs out the policy
+        raises :class:`~repro.common.errors.RetryExhausted`.
+        """
+        return RETRY.run(op, transport=self, label=label)
+
     # ------------------------------------------------------------ internals
+
+    def _restart(self, channel: str, endpoint) -> None:
+        """Crash-restart the receiving endpoint from its durable state.
+
+        An endpoint with a segment store reopens from it (possibly *warm*,
+        from its checkpoint).  Otherwise it reloads a snapshot of its
+        ``(I, X, Ac)``, taken here: only an install changes that state, and
+        an install crosses its leg whole, so at a crash the snapshot is
+        what the last install left, and fault-free legs never pay for one.
+        Witnesses recovery did not bring back are served by live ``MemWit``.
+        """
+        shard = "#shard" in channel
+        perfstats.incr("chaos.shard_restarts" if shard else "chaos.cloud_restarts")
+        if endpoint.has_store:
+            endpoint.reopen()
+        else:
+            endpoint.restore(endpoint.snapshot())
 
     def _trace_fault(self, channel: str, kind: FaultKind, *, leg: str) -> None:
         """Attach one injection to the current span, with its plan step.
@@ -216,21 +284,21 @@ class ChaosTransport:
         blob[position // 8] ^= 1 << (position % 8)
         return bytes(blob)
 
-    def _handle(self, framed: bytes, handler, idempotency_key, cache_if):
+    def _handle(self, framed: bytes, load, handler, key, cache_if):
         payload = unframe(framed)
-        if idempotency_key is not None and idempotency_key in self._idempotent:
+        if key is not None and key in self._idempotent:
             perfstats.incr("chaos.deduped")
-            return self._idempotent[idempotency_key]
-        result = handler(payload)
-        if idempotency_key is not None and (cache_if is None or cache_if(result)):
-            self._idempotent[idempotency_key] = result
+            return self._idempotent[key]
+        result = handler(load(payload))
+        if key is not None and (cache_if is None or cache_if(result)):
+            self._idempotent[key] = result
         return result
 
     def _deliver_stale(self, channel: str) -> None:
         """Late delivery of reordered messages, before the newer one lands."""
-        for framed, handler, key, cache_if in self._held.pop(channel, []):
+        for framed, load, handler, key, cache_if in self._held.pop(channel, []):
             perfstats.incr("chaos.delivered.stale")
             try:
-                self._handle(framed, handler, key, cache_if)
+                self._handle(framed, load, handler, key, cache_if)
             except TransportCorruption:
                 pass  # the held frame rotted; at-least-once still holds via retry

@@ -252,6 +252,11 @@ class CloudServer:
             store.append(dict(self.index.entries), list(self._primes), self.ads_value)
         self._store = store
 
+    @property
+    def has_store(self) -> bool:
+        """Whether a segment store is attached (a crash restarts from it)."""
+        return self._store is not None
+
     def reopen(self, path=None, plan_tag: bytes | None = None) -> None:
         """Restart this cloud from a segment store (the durable truth).
 

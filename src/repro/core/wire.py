@@ -72,3 +72,19 @@ def dump_response(response: SearchResponse) -> bytes:
 
 def load_response(blob: bytes) -> SearchResponse:
     return SearchResponse([_load_result(p) for p in codec.unpack(blob, _KIND_RESPONSE)])
+
+
+def many(item_codec) -> tuple:
+    """The codec of a batch message: a list, each item under ``item_codec``."""
+    dump, load = item_codec
+    return (
+        lambda items: encode_parts(*[dump(item) for item in items]),
+        lambda blob: [load(part) for part in decode_parts(blob)],
+    )
+
+
+#: The ``(dump, load)`` codecs a faulting transport frames these messages with.
+TOKENS = (dump_tokens, load_tokens)
+RESPONSE = (dump_response, load_response)
+TOKEN_LISTS = many(TOKENS)
+RESPONSES = many(RESPONSE)

@@ -26,7 +26,6 @@ from .common.rng import DeterministicRNG, default_rng
 from .core.params import SlicerParams
 from .core.query import Query
 from .core.records import Database
-from .chaos import RetryPolicy
 from .system import DEFAULT_PAYMENT, SearchOutcome, SlicerSystem
 
 
@@ -55,18 +54,11 @@ class DualSlicerSystem:
         self,
         params: SlicerParams,
         rng: DeterministicRNG | None = None,
-        transport_factory=None,
-        retry: RetryPolicy | None = None,
         shards: int = 1,
     ) -> None:
         self.params = params
         self.rng = rng or default_rng()
         self.chain = Blockchain()
-        #: ``tag -> ChaosTransport | None``; each instance needs its *own*
-        #: transport (fault schedules and idempotency caches are
-        #: per-deployment state), so a factory rather than one shared object.
-        self._transport_factory = transport_factory
-        self._retry = retry
         self._shards = shards
         # Distinct account labels per instance (``account_tag``) let the two
         # deployments share one chain without address collisions.
@@ -76,13 +68,10 @@ class DualSlicerSystem:
         self._deleted: set[bytes] = set()
 
     def _make_system(self, tag: str) -> SlicerSystem:
-        transport = self._transport_factory(tag) if self._transport_factory else None
         return SlicerSystem(
             params=self.params,
             chain=self.chain,
             rng=self.rng.spawn(),
-            transport=transport,
-            retry=self._retry,
             shards=self._shards,
             account_tag=tag,
         )

@@ -20,10 +20,11 @@ single-cloud response at any shard count (the property suite asserts this
 bit for bit).
 
 Shards are served in-process, one after another in shard-id order, so
-execution is deterministic.  With a ``transport`` the request legs cross
-the fault-injecting :class:`~repro.chaos.ChaosTransport` on **per-shard
-channels** (``contract->cloud#shardK``), each with its own retry budget and
-crash-restart hook backed by a per-shard durable snapshot.
+execution is deterministic.  Each shard's slice of a scatter, for
+:meth:`search` and :meth:`search_many` alike, is one delivery on the tier's
+``transport`` over its own channel (``contract->cloud#shardK``), so under a
+:class:`~repro.chaos.ChaosTransport` every shard fails, retries and
+crash-restarts independently; the default direct transport calls the shard.
 
 A shard marked dead (:meth:`kill_shard`, no snapshot to restart from)
 degrades *detectably*: its tokens get empty results with an invalid
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import pathlib
 
-from ..chaos import CONTRACT_TO_CLOUD, RetryPolicy, shard_channel
+from ..chaos import CONTRACT_TO_CLOUD, DIRECT, shard_channel
 from ..common import perfstats
 from ..common.encoding import encode_parts, encode_uint
 from ..common.errors import ParameterError, StateError
@@ -62,17 +63,13 @@ class ShardedCloudFrontend:
         trapdoor_public: TrapdoorPublicKey,
         plan: HashShardPlan,
         transport=None,
-        retry: RetryPolicy | None = None,
     ) -> None:
         self.params = params.public()
         self.plan = plan
         self.shard_servers = [
             CloudServer(params, trapdoor_public) for _ in range(plan.shards)
         ]
-        self.transport = transport
-        self.retry = retry or RetryPolicy()
-        #: Per-shard durable snapshots for chaos crash-restart.
-        self._snapshots: list[bytes | None] = [None] * plan.shards
+        self.transport = transport or DIRECT
         #: Shards taken down hard (no restart): served as detectable failures.
         self._dead: set[int] = set()
         #: Root of the per-shard segment stores once :meth:`attach_store` ran.
@@ -100,12 +97,7 @@ class ShardedCloudFrontend:
             self.install_shard(shard_id, package)
 
     def install_shard(self, shard_id: int, package: CloudPackage) -> None:
-        server = self.shard_servers[shard_id]
-        server.install(package)
-        if self.transport is not None:
-            # Durable per-shard snapshot, taken atomically with the install —
-            # what a crash-restarted shard reloads.
-            self._snapshots[shard_id] = server.snapshot()
+        self.shard_servers[shard_id].install(package)
 
     # -------------------------------------------------------- segment stores
 
@@ -131,6 +123,11 @@ class ShardedCloudFrontend:
         for sid, server in enumerate(self.shard_servers):
             server.attach_store(root / f"shard-{sid}", plan_tag=self._shard_plan_tag(sid))
         self._store_root = root
+
+    @property
+    def has_store(self) -> bool:
+        """Whether per-shard segment stores are attached."""
+        return self._store_root is not None
 
     def reopen(self, path=None) -> None:
         """Restart the whole tier from its per-shard segment stores.
@@ -179,26 +176,6 @@ class ShardedCloudFrontend:
     def kill_shard(self, shard_id: int) -> None:
         """Take a shard down hard: no restart, failures become detectable."""
         self._dead.add(shard_id)
-
-    def _restart_shard(self, shard_id: int) -> None:
-        """Chaos crash hook: restart the shard from its durable state.
-
-        With a segment store attached the shard reopens from its own store
-        directory (and may come back *warm* from its checkpoint); otherwise
-        it reloads the per-install snapshot.  Witnesses recovery did not
-        bring back are served by the shard's live ``MemWit`` — the
-        single-cloud restart semantics.
-        """
-        server = self.shard_servers[shard_id]
-        has_store = server._store is not None
-        snap = self._snapshots[shard_id]
-        if snap is None and not has_store:
-            return
-        perfstats.incr("chaos.shard_restarts")
-        if has_store:
-            server.reopen()
-        else:
-            server.restore(snap)
 
     # --------------------------------------------------------------- search
 
@@ -250,39 +227,30 @@ class ShardedCloudFrontend:
     def _shard_search(self, sid: int, shard_tokens: list[SearchToken]) -> SearchResponse:
         if sid in self._dead:
             return self._dead_response(sid, shard_tokens)
-        server = self.shard_servers[sid]
-        if self.transport is None:
-            return server.search(shard_tokens, _observe=False)
-
-        # Chaos leg: this shard's scatter crosses the transport on its own
-        # channel, retried independently; a crash fault restarts only this
-        # shard from its durable snapshot.
-        tokens_wire = wire.dump_tokens(shard_tokens)
-        channel = shard_channel(CONTRACT_TO_CLOUD, sid)
-
-        def scatter_op(attempt: int) -> bytes:
-            return self.transport.deliver(
-                channel,
-                tokens_wire,
-                lambda blob: wire.dump_response(
-                    server.search(wire.load_tokens(blob), _observe=False)
-                ),
-                on_crash=lambda: self._restart_shard(sid),
-            )
-
-        response_wire = self.retry.run(
-            scatter_op, transport=self.transport, label=f"shard{sid}.search"
-        )
-        return wire.load_response(response_wire)
+        return self._scatter(sid, shard_tokens, wire.TOKENS, "search")
 
     def _shard_search_many(
         self, sid: int, shard_lists: list[list[SearchToken]]
     ) -> list[SearchResponse]:
         if sid in self._dead:
             return [self._dead_response(sid, tokens) for tokens in shard_lists]
-        # Batched settlement is a direct chain call even under chaos (see
-        # SlicerSystem.batch_search), so the batch scatter stays in-process.
-        return self.shard_servers[sid].search_many(shard_lists, _observe=False)
+        return self._scatter(sid, shard_lists, wire.TOKEN_LISTS, "search_many")
+
+    def _scatter(self, sid: int, request, codec, method: str):
+        """Shard ``sid``'s leg of a scatter: its own channel, retries and restart."""
+        server = self.shard_servers[sid]
+        serve = getattr(server, method)
+        transport = self.transport
+        return transport.retried(
+            f"shard{sid}.search",
+            lambda attempt: transport.deliver(
+                shard_channel(CONTRACT_TO_CLOUD, sid),
+                request,
+                lambda message: serve(message, _observe=False),
+                codec=codec,
+                endpoint=server,
+            ),
+        )
 
     def _dead_response(self, sid: int, shard_tokens: list[SearchToken]) -> SearchResponse:
         """A hard-down shard's share: empty results, witness that cannot verify.

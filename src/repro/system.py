@@ -18,16 +18,17 @@ batch_search` and the planner's :meth:`~SlicerSystem.search_plans` — runs
 one staged pipeline: tokens → submit → serve → settle → decrypt → record.
 Two things vary inside it.
 
-**Delivery** is chosen from ``transport``:
+**Delivery** is the ``transport``.  Every leg (submit, serve, settle, and
+an insert's install and ``update_ads``) is one ``transport.deliver`` call
+inside one ``transport.retried`` scope, for every entry point:
 
-* **direct** (default, ``transport=None``) — in-process calls;
-* **chaos** — pass a :class:`~repro.chaos.ChaosTransport` and a single
-  search's party boundaries serialize
-  through :mod:`repro.core.wire`, cross the fault-injecting transport, and
-  are wrapped in a :class:`~repro.chaos.RetryPolicy` with idempotent
-  re-submission.  When the retry budget runs out the search degrades to a
-  :class:`SearchOutcome` error state instead of raising.  Batches settle
-  by direct chain calls either way.
+* the default (``transport=None``) is :data:`~repro.chaos.DIRECT`, whose
+  ``deliver`` is the in-process call ``handler(message)`` and nothing else;
+* a :class:`~repro.chaos.ChaosTransport` serializes each leg through
+  :mod:`repro.core.wire`, injects faults, deduplicates re-sent messages and
+  retries under :data:`~repro.chaos.RETRY`.  When the retry budget runs
+  out, every escrow of the search or batch that did not settle degrades
+  to a :class:`SearchOutcome` error state instead of raising.
 
 **Settlement** is chosen from ``settlement_mode`` and the entry point:
 
@@ -52,6 +53,7 @@ and metric observations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .blockchain.block_builder import BlockBuilder
 from .blockchain.chain import Blockchain
@@ -66,11 +68,11 @@ from .blockchain.transaction import Receipt
 from .chaos import (
     CLOUD_TO_CONTRACT,
     CONTRACT_TO_CLOUD,
+    DIRECT,
     OWNER_TO_CLOUD,
     OWNER_TO_CONTRACT,
     USER_TO_CONTRACT,
     ChaosTransport,
-    RetryPolicy,
     shard_channel,
 )
 from .common import perfstats
@@ -107,6 +109,11 @@ SETTLE_GAS_LIMIT = 4_000_000
 MAX_SETTLE_ROUNDS = 64
 
 
+def _succeeded(receipt: Receipt) -> bool:
+    """Whether a leg's reply is final: a reverted call re-executes on re-send."""
+    return bool(receipt.status)
+
+
 @dataclass(frozen=True)
 class DeliveryFailure:
     """Structured attribution for a degraded search.
@@ -125,7 +132,10 @@ class DeliveryFailure:
     fault_step: int | None = None
 
     @classmethod
-    def from_exception(cls, exc: RetryExhausted) -> "DeliveryFailure":
+    def from_exception(cls, exc: RetryExhausted | TransientChainError) -> "DeliveryFailure":
+        """Attribute a retry budget that ran out, or a settlement that reverted."""
+        if isinstance(exc, TransientChainError):
+            return cls(error_type=type(exc).__name__, message=str(exc))
         cause = exc.last_error if exc.last_error is not None else exc.__cause__
         return cls(
             error_type=type(cause).__name__ if cause is not None else type(exc).__name__,
@@ -140,12 +150,12 @@ class DeliveryFailure:
 class SearchOutcome:
     """Everything one on-chain search produced.
 
-    Under chaos delivery a search can *degrade* instead of settling: when
-    the retry budget is exhausted ``error`` carries the reason (and
-    ``failure`` its structured form), ``verified`` is False, and the
-    receipt/response fields for the legs that never completed are None.
-    Direct-mode outcomes always have ``error is None`` and every field
-    populated.
+    A search *degrades* instead of settling when its transport's retry
+    budget runs out, or when its settlement reverts: ``error`` carries the
+    reason (and ``failure`` its structured form), ``verified`` is False,
+    and the receipt/response fields for the legs that never completed are
+    None.  Only a faulting transport numbers attempts, so a direct outcome
+    keeps ``attempts == 1``.
     """
 
     query: Query
@@ -158,7 +168,7 @@ class SearchOutcome:
     settle_receipt: Receipt | None = None
     #: Degradation reason when delivery gave up; None on a settled search.
     error: str | None = None
-    #: Delivery attempts consumed across the submit and settle phases.
+    #: Delivery attempts consumed across the submit and settle legs.
     attempts: int = 1
     #: Structured failure attribution (exception class, retried label,
     #: FaultPlan step); None unless the search degraded.
@@ -218,7 +228,6 @@ class SlicerSystem:
         rng: DeterministicRNG | None = None,
         owner: DataOwner | None = None,
         transport: ChaosTransport | None = None,
-        retry: RetryPolicy | None = None,
         shards: int = 1,
         account_tag: str | None = None,
         settlement_mode: str = "sync",
@@ -246,10 +255,8 @@ class SlicerSystem:
             self.mempool = Mempool(self.chain)
             self.builder = BlockBuilder(self.chain, self.mempool, fault_plan=chain_faults)
 
-        # Chaos delivery (opt-in): None keeps the direct in-process path
-        # bit-for-bit identical to the pre-chaos system.
-        self.transport = transport
-        self.retry = retry or RetryPolicy()
+        # Every leg crosses this transport; None is the direct in-process one.
+        self.transport = transport or DIRECT
 
         # Sharded serving tier (opt-in): shards > 1 replaces the single
         # cloud with a scatter/gather frontend whose merged output is
@@ -261,7 +268,6 @@ class SlicerSystem:
                     self.owner.keys.trapdoor.public,
                     HashShardPlan(shards),
                     transport=self.transport,
-                    retry=self.retry,
                 )
             else:
                 cloud = CloudServer(self.params, self.owner.keys.trapdoor.public)
@@ -273,8 +279,8 @@ class SlicerSystem:
             self.owner.shard_plan = self.cloud.plan
         if store_dir is not None:
             # Durable epoch-segment store(s): every install appends a
-            # segment, and the chaos crash hook restarts *from the store*
-            # instead of the monolithic snapshot (warm when checkpointed).
+            # segment, and a chaos crash restarts *from the store* instead
+            # of a snapshot (warm when checkpointed).
             self.cloud.attach_store(store_dir)
 
         tag = account_tag
@@ -294,18 +300,21 @@ class SlicerSystem:
         #: Additional authorised users: label -> (chain address, DataUser).
         self.extra_users: dict[str, tuple[bytes, DataUser]] = {}
         self._last_user_package = None
-
-        self._cloud_snapshot: bytes | None = None
-        self._chaos_op = 0
+        #: Operation counter: idempotency keys and settlement tx ids.
+        self._ops = 0
 
     # ---------------------------------------------------------------- setup
 
     def setup(self, database: Database | AttributedDatabase) -> OwnerOutput:
-        """Owner builds everything and deploys the contract (Fig. 1 step 1)."""
+        """Owner builds everything and deploys the contract (Fig. 1 step 1).
+
+        The deployment does not exist yet, so set-up is outside the fault
+        model: its install is a direct delivery whatever the transport.
+        """
         with trace.span("setup", records=len(database.records)):
             output = self.owner.build(database)
             with trace.span("install"):
-                self._install(output)
+                self._install(output, DIRECT)
             self.contract, self.deploy_receipt = self.chain.deploy(
                 self.owner_address,
                 SlicerContract,
@@ -320,17 +329,17 @@ class SlicerSystem:
             self.user = DataUser(self.params, output.user_package, self.rng.spawn())
             self._last_user_package = output.user_package
             self.chain.mine()
-            if self.transport is not None:
-                # First durable snapshot: what a crash-restarted cloud reloads.
-                self._cloud_snapshot = self.cloud.snapshot()
         return output
 
     def authorize_user(self, label: str, funding: int = DEFAULT_FUNDING) -> DataUser:
         """Authorise another data user (the paper's multi-user setting).
 
         The owner shares keys + current trapdoor state; the new user gets a
-        funded chain account and can search independently — freshness is
-        anchored by the on-chain digest, not by talking to the owner.
+        funded chain account and can search independently.  The user must
+        :meth:`~repro.core.user.DataUser.refresh` after every insert
+        (:meth:`insert` does it for every user it knows): a user that missed
+        one is served stale tokens, and the contract still pays the cloud
+        for them (ROADMAP, "Freshness for a lagging user").
         """
         self._require_setup()
         if label in self.extra_users:
@@ -343,25 +352,31 @@ class SlicerSystem:
     def insert(self, additions: Database | AttributedDatabase) -> Receipt:
         """Owner inserts records and refreshes the on-chain ADS digest."""
         contract = self._require_setup()
+        transport = self.transport
         with trace.span("insert", records=len(additions.records)):
             output = self.owner.insert(additions)
             with trace.span("install"):
-                if self.transport is None:
-                    self._install(output)
-                else:
-                    self._chaos_install(output)
+                self._install(output, transport)
             assert self.user is not None
             self.user.refresh(output.user_package)
             for _, extra in self.extra_users.values():
                 extra.refresh(output.user_package)
             self._last_user_package = output.user_package
             with trace.span("update_ads"):
-                if self.transport is None:
-                    receipt = self._chain_call(
-                        self.owner_address, contract, "update_ads", (output.chain_ads,)
-                    )
-                else:
-                    receipt = self._chaos_update_ads(contract, output.chain_ads)
+                key = ("ads", self._next_op())
+                receipt = transport.retried(
+                    "update_ads",
+                    lambda attempt: transport.deliver(
+                        OWNER_TO_CONTRACT,
+                        output.chain_ads,
+                        lambda ads: self._chain_call(
+                            self.owner_address, contract, "update_ads", (ads,)
+                        ),
+                        codec=(codec.encode_int, codec.decode_int),
+                        idempotency_key=key,
+                        cache_if=_succeeded,
+                    ),
+                )
             if not receipt.status:
                 raise StateError(f"ADS update reverted: {receipt.revert_reason}")
             metrics.observe("insert.update_ads_gas", receipt.gas_used)
@@ -383,7 +398,7 @@ class SlicerSystem:
             searcher = (self.user_address, self.user)
         else:
             searcher = self.extra_users[as_user]
-        with trace.span("search", mode="direct" if self.transport is None else "chaos"):
+        with trace.span("search", mode=self.transport.name):
             (outcome,) = self._pipeline([query], payment, searcher, batch=False)
             trace.set_attr("query_id", outcome.query_id)
             trace.set_attr("verified", outcome.verified)
@@ -406,8 +421,9 @@ class SlicerSystem:
         block settlement the amortisation moves from the transaction to the
         *block*: one ``verify_and_settle`` per escrow, all sealed into one
         block, so every verdict lands in the header's settlement root and is
-        light-client provable.  Batches are direct calls even under chaos
-        delivery; only single searches cross the transport.
+        light-client provable.  The legs cross the transport as a single
+        search's do: one submit per escrow, then one serve and one settle
+        for the whole batch.
         """
         self._require_setup()
         block = {"mode": "block"} if self.builder is not None else {}
@@ -419,156 +435,129 @@ class SlicerSystem:
     ) -> list[SearchOutcome]:
         """tokens → submit → serve → settle → decrypt → record, once for all entry points.
 
-        Two things vary inside:
-
-        * **delivery** — direct (in-process calls, no wire encoding) or,
-          for a single search on a system with a transport, chaos: the submit
-          and the serve+settle legs cross the fault-injecting transport,
-          each retried with deterministic backoff and idempotent
-          re-submission (keyed by an operation counter, so a duplicated or
-          re-sent message never double-charges the escrow).  Exhausting the
-          retry budget degrades to an error outcome instead of raising;
-        * **settlement** — see :meth:`_settle`.
-
-        A single search is served by :meth:`CloudServer.search` and a batch
-        by :meth:`CloudServer.search_many` (their ``batch.*`` counters
-        differ).  Sync settlement mines one block per call; block
+        Each escrow's submit is one leg; the serve and settle legs carry all
+        of the call's escrows (a single search is served by
+        :meth:`CloudServer.search` and a batch by
+        :meth:`CloudServer.search_many`; their ``batch.*`` counters differ).
+        A leg is one ``transport.deliver`` inside one ``transport.retried``
+        scope, and serve and settle share a scope, so a lost settlement is
+        re-served before it is re-sent.  Idempotency keys are scoped by an
+        operation counter, so a duplicated or re-sent message never
+        double-charges an escrow.  When the retry budget runs out, or the
+        settlement reverts, every escrow whose settlement did not land
+        degrades to an error outcome instead of raising.  Settlement is
+        :meth:`_settle`'s: sync settlement mines one block per call, block
         settlement seals as it settles.
         """
-        contract = self.contract
+        contract, transport = self.contract, self.transport
         address, user = searcher
-        chaos = self.transport is not None and not batch
         outcomes = [SearchOutcome(query, -1, user.make_tokens(query)) for query in queries]
+        op = self._next_op()
+        #: Numbered attempts per escrow; only a faulting transport numbers them.
+        tried = [0] * len(outcomes)
+        #: Escrow index -> (response, receipt, height, verified) once it settled.
+        landed: dict[int, tuple] = {}
+
+        def count(indices, attempt: int | None) -> None:
+            if attempt is not None:
+                for i in indices:
+                    tried[i] += 1
 
         def submit(tokens: list[SearchToken]) -> Receipt:
             return self._chain_call(
                 address, contract, "submit_query", (tokens_digest_input(tokens),), value=payment
             )
 
-        try:
-            if chaos:
-                (outcome,) = outcomes
-                outcome.attempts = 0
-                op, tokens_wire = self._next_op(), wire.dump_tokens(outcome.tokens)
-            for outcome in outcomes:
-                with trace.span("submit"):
-                    if not chaos:
-                        receipt = submit(outcome.tokens)
+        def submit_attempt(i: int, attempt: int | None) -> Receipt:
+            count((i,), attempt)
+            return transport.deliver(
+                USER_TO_CONTRACT,
+                outcomes[i].tokens,
+                submit,
+                codec=wire.TOKENS,
+                idempotency_key=("submit", op, i),
+                cache_if=_succeeded,
+            )
+
+        if batch:
+            request, serve = [o.tokens for o in outcomes], self.cloud.search_many
+            codecs, attrs = (wire.TOKEN_LISTS, wire.RESPONSES), {"batch": len(outcomes)}
+        else:
+            request, serve = outcomes[0].tokens, self.cloud.search
+            codecs, attrs = (wire.TOKENS, wire.RESPONSE), {}
+        # A tier delivers each shard's slice on that shard's own leg.
+        serve_via = DIRECT if self._sharded else transport
+
+        def serve_settle(attempt: int | None) -> None:
+            count(range(len(outcomes)), attempt)
+            span_attrs = attrs if attempt is None else {**attrs, "attempt": attempt}
+
+            def settle(message) -> list[str]:
+                """The contract's side: settle every escrow not yet landed."""
+                responses = message if batch else [message]
+                pending = [i for i in range(len(outcomes)) if i not in landed]
+                staged = [
+                    (outcomes[i].query_id, responses[i], ("settle", op, attempt, i))
+                    for i in pending
+                ]
+                reverts = []
+                for i, (receipt, height, verified) in zip(
+                    pending, self._settle(contract, staged, batch)
+                ):
+                    if receipt.status:
+                        landed[i] = (responses[i], receipt, height, verified)
                     else:
-                        receipt = self._retried(
-                            outcome,
-                            "submit_query",
-                            lambda attempt: self.transport.deliver(
-                                USER_TO_CONTRACT,
-                                tokens_wire,
-                                lambda blob: submit(wire.load_tokens(blob)),
-                                idempotency_key=("submit", op),
-                                cache_if=lambda r: r.status,
-                            ),
-                        )
+                        reverts.append(receipt.revert_reason)
+                return reverts
+
+            with trace.span("cloud.search", **span_attrs):
+                served = serve_via.deliver(
+                    CONTRACT_TO_CLOUD, request, serve, codec=codecs[0], endpoint=self.cloud
+                )
+            with trace.span("verify_settle", **span_attrs):
+                reverts = transport.deliver(
+                    CLOUD_TO_CONTRACT,
+                    served,
+                    settle,
+                    codec=codecs[1],
+                    idempotency_key=("settle", op),
+                    cache_if=lambda reverts: not reverts,
+                    endpoint=self.cloud,
+                )
+                if reverts:
+                    # A revert leaves the escrow open (state rolled back), so
+                    # the settlement can be retried, e.g. after a crash
+                    # restart briefly served a stale Ac.
+                    raise TransientChainError(f"settle reverted: {reverts[0]}")
+
+        error: RetryExhausted | TransientChainError | None = None
+        try:
+            for i, outcome in enumerate(outcomes):
+                with trace.span("submit"):
+                    receipt = transport.retried("submit_query", partial(submit_attempt, i))
                 if not receipt.status:
                     raise StateError(f"query submission reverted: {receipt.revert_reason}")
                 outcome.submit_receipt, outcome.query_id = receipt, receipt.return_value
-
-            if chaos:
-                response_wire, landed = self._retried(
-                    outcome,
-                    "verify_and_settle",
-                    lambda attempt: self._chaos_serve_settle(
-                        contract, outcome, tokens_wire, op, attempt
-                    ),
-                )
-                responses, settled = [wire.load_response(response_wire)], [landed]
-            else:
-                attrs = {"batch": len(outcomes)} if batch else {}
-                with trace.span("cloud.search", **attrs):
-                    if batch:
-                        responses = self.cloud.search_many([o.tokens for o in outcomes])
-                    else:
-                        responses = [self.cloud.search(outcomes[0].tokens)]
-                with trace.span("verify_settle", **attrs):
-                    settled = self._settle(
-                        contract,
-                        [(o.query_id, r, None) for o, r in zip(outcomes, responses)],
-                        batch,
-                    )
-        except RetryExhausted as exc:
-            # Graceful degradation: the retry budget ran out on some leg.
-            # Only a chaos search retries, and it carries one escrow.
-            (outcome,) = outcomes
+            transport.retried("verify_and_settle", serve_settle)
+        except (RetryExhausted, TransientChainError) as exc:
+            error = exc
             self._mine_boundary()
-            outcome.error, outcome.failure = str(exc), DeliveryFailure.from_exception(exc)
-            self._record(outcome, payment, batch_size=None)
-            return outcomes
 
-        for outcome, response, (receipt, height, verified) in zip(outcomes, responses, settled):
-            outcome.response, outcome.settle_receipt = response, receipt
-            outcome.settle_height, outcome.verified = height, verified
-            if verified:
-                outcome.record_ids = user.decrypt_results(response)
+        numbered = any(tried)
+        for i, outcome in enumerate(outcomes):
+            if i in landed:
+                response, outcome.settle_receipt, outcome.settle_height, verified = landed[i]
+                outcome.response, outcome.verified = response, verified
+                if verified:
+                    outcome.record_ids = user.decrypt_results(response)
+            else:
+                outcome.error, outcome.failure = str(error), DeliveryFailure.from_exception(error)
+            if numbered:
+                outcome.attempts = tried[i]
             self._record(outcome, payment, batch_size=len(outcomes) if batch else None)
-        if self.builder is None:
+        if error is None and self.builder is None:
             self.chain.mine()
         return outcomes
-
-    def _retried(self, outcome: SearchOutcome, label: str, attempt_op):
-        """Run one chaos leg under the retry policy, counting its attempts."""
-
-        def op(attempt: int):
-            outcome.attempts += 1
-            return attempt_op(attempt)
-
-        return self.retry.run(op, transport=self.transport, label=label)
-
-    def _chaos_serve_settle(
-        self, contract, outcome: SearchOutcome, tokens_wire: bytes, op: int, attempt: int
-    ) -> tuple[bytes, tuple[Receipt, int | None, bool]]:
-        """One chaos attempt at legs 2 and 3: contract -> cloud, cloud -> contract.
-
-        The cloud's search is not cached — an honest cloud's search is a
-        pure function of its state, and re-running it after a crash restart
-        is exactly the recovery path under test.  A sharded tier runs its
-        *own* per-shard transport legs inside ``frontend.search`` (channels
-        ``contract->cloud#shardK``), so the scatter is not wrapped in a
-        second tier-wide delivery here.
-
-        The settlement's idempotency key is op-scoped (a duplicated message
-        must not re-settle); under block settlement the mempool tx id is
-        *attempt*-scoped, because a retry after a transient revert (e.g. a
-        crash-restarted cloud briefly serving a stale ``Ac``) is a new
-        staging, not a duplicate.  The handler's reply carries the landing
-        height, so a deduplicated delivery returns it too.
-        """
-        transport = self.transport
-        with trace.span("cloud.search", attempt=attempt):
-            if self._sharded:
-                response_wire = wire.dump_response(self.cloud.search(outcome.tokens))
-            else:
-                response_wire = transport.deliver(
-                    CONTRACT_TO_CLOUD,
-                    tokens_wire,
-                    lambda blob: wire.dump_response(self.cloud.search(wire.load_tokens(blob))),
-                    on_crash=self._restart_cloud,
-                )
-        with trace.span("verify_settle", attempt=attempt):
-            settled = transport.deliver(
-                CLOUD_TO_CONTRACT,
-                response_wire,
-                lambda blob: self._settle(
-                    contract,
-                    [(outcome.query_id, wire.load_response(blob), ("settle", op, attempt))],
-                    batch=False,
-                )[0],
-                idempotency_key=("settle", op),
-                cache_if=lambda s: s[0].status,
-                on_crash=self._restart_cloud,
-            )
-            if not settled[0].status:
-                # Reverts leave the query open (state rolled back), so the
-                # settlement can be retried — e.g. after a crash restart
-                # briefly served a stale Ac.
-                raise TransientChainError(f"settle reverted: {settled[0].revert_reason}")
-        return response_wire, settled
 
     def _settle(
         self, contract: SlicerContract, staged: list[tuple], batch: bool
@@ -583,14 +572,14 @@ class SlicerSystem:
           so the receipts are bit-identical), then blocks are sealed until
           every one has landed: a :class:`ChainFaultPlan` delay pushes a tx
           past later blocks, and the round loop keeps sealing until it
-          ripens — delayed, never lost.  ``tx_id`` None allocates a fresh
-          operation id.
+          ripens — delayed, never lost.  ``tx_id`` is scoped by attempt:
+          a retry after a transient revert is a new staging, not a
+          duplicate.
         """
         builder = self.builder
         if builder is not None:
             tx_ids = []
             for query_id, response, tx_id in staged:
-                tx_id = tx_id or ("settle", self._next_op())
                 builder.stage_settlement(
                     self.cloud_address,
                     contract,
@@ -795,119 +784,48 @@ class SlicerSystem:
         block = self.chain.blocks[outcome.settle_height]
         return prove_settlement(block, encode_uint(outcome.query_id))
 
-    # ------------------------------------------------------- chaos delivery
+    # ------------------------------------------------------------- delivery
 
-    def _install(self, output: OwnerOutput) -> None:
-        """Direct-mode install: flat package, or pre-split per shard."""
+    def _install(self, output: OwnerOutput, transport) -> None:
+        """The install leg: one flat delivery, or one per shard.
+
+        Each message is one :func:`state_io.dump_cloud_package` carrying
+        the owner's witnesses.  A tier gets one independent leg per shard
+        (``owner->cloud#shardK``) with its own idempotency key, retry
+        budget and crash-restart endpoint; the shard id travels as the
+        channel and the handler, never in the payload.
+        """
         if self._sharded:
-            self.cloud.install_shards(output.shard_packages)
+            legs = [
+                (
+                    shard_channel(OWNER_TO_CLOUD, sid),
+                    f"install.shard{sid}",
+                    package,
+                    self.cloud.shard_servers[sid],
+                )
+                for sid, package in enumerate(output.shard_packages)
+            ]
         else:
-            self.cloud.install(output.cloud_package)
+            legs = [(OWNER_TO_CLOUD, "install", output.cloud_package, self.cloud)]
+        op = self._next_op()
+        package_codec = (state_io.dump_cloud_package, state_io.load_cloud_package)
+        for channel, label, package, endpoint in legs:
+            transport.retried(
+                label,
+                lambda attempt: transport.deliver(
+                    channel,
+                    package,
+                    endpoint.install,
+                    codec=package_codec,
+                    idempotency_key=("install", op, channel),
+                    endpoint=endpoint,
+                ),
+            )
 
     def _next_op(self) -> int:
-        """Monotonic operation counter — the idempotency-key namespace."""
-        self._chaos_op += 1
-        return self._chaos_op
-
-    def _restart_cloud(self) -> None:
-        """Crash-fault hook: restart the cloud from its durable state.
-
-        Models a process restart — in-memory caches are gone, durable state
-        survives.  With a segment store attached the cloud reopens from the
-        store (possibly *warm*, from its checkpoint); otherwise it reloads
-        the last installed ``(I, X, Ac)`` snapshot.  Witnesses recovery did
-        not bring back are served by the cloud's live ``MemWit``.
-        """
-        has_store = (
-            getattr(self.cloud, "_store", None) is not None
-            or getattr(self.cloud, "_store_root", None) is not None
-        )
-        if self._cloud_snapshot is None and not has_store:
-            return
-        perfstats.incr("chaos.cloud_restarts")
-        if has_store:
-            self.cloud.reopen()
-        else:
-            self.cloud.restore(self._cloud_snapshot)
-
-    def _chaos_install(self, output: OwnerOutput) -> None:
-        """Owner -> cloud install over the transport (retried, idempotent).
-
-        Flat or per shard, the message is one :func:`state_io.dump_cloud_package`
-        carrying the owner's witnesses.  A tier gets one independent leg per
-        shard (``owner->cloud#shardK``) with its own idempotency key, retry
-        budget and crash hook; the shard id travels as the channel and the
-        handler, never in the payload.  The durable snapshot a restarted
-        cloud reloads is taken atomically with the install: a crash after
-        the handler ran (but before the reply arrived) must restart into the
-        *installed* state, or the idempotency cache and the cloud disagree.
-        """
-        op = self._next_op()
-        if self._sharded:
-            for sid, package in enumerate(output.shard_packages):
-                # install_shard also refreshes that shard's durable snapshot.
-                self._deliver_install(
-                    shard_channel(OWNER_TO_CLOUD, sid),
-                    package,
-                    lambda pkg, sid=sid: self.cloud.install_shard(sid, pkg),
-                    ("install", op, sid),
-                    lambda sid=sid: self.cloud._restart_shard(sid),
-                    f"install.shard{sid}",
-                )
-            self._cloud_snapshot = self.cloud.snapshot()
-            return
-
-        def install(package) -> None:
-            self.cloud.install(package)
-            self._cloud_snapshot = self.cloud.snapshot()
-
-        self._deliver_install(
-            OWNER_TO_CLOUD,
-            output.cloud_package,
-            install,
-            ("install", op),
-            self._restart_cloud,
-            "install",
-        )
-
-    def _deliver_install(self, channel, package, install, key, on_crash, label) -> None:
-        """One install leg: encode, deliver with retries, decode, ``install``."""
-        transport = self.transport
-        assert transport is not None
-        pkg_wire = state_io.dump_cloud_package(package)
-
-        def handler(blob: bytes) -> bytes:
-            install(state_io.load_cloud_package(blob))
-            return b"installed"
-
-        def install_op(attempt: int) -> None:
-            transport.deliver(
-                channel, pkg_wire, handler, idempotency_key=key, on_crash=on_crash
-            )
-
-        self.retry.run(install_op, transport=transport, label=label)
-
-    def _chaos_update_ads(self, contract: SlicerContract, chain_ads) -> Receipt:
-        """Owner -> contract ADS refresh over the transport."""
-        transport = self.transport
-        assert transport is not None
-        op = self._next_op()
-
-        def update_op(attempt: int) -> Receipt:
-            return transport.deliver(
-                OWNER_TO_CONTRACT,
-                codec.encode_int(chain_ads),
-                lambda blob: self._chain_call(
-                    self.owner_address,
-                    contract,
-                    "update_ads",
-                    (codec.decode_int(blob),),
-                ),
-                idempotency_key=("ads", op),
-                cache_if=lambda r: r.status,
-            )
-
-        return self.retry.run(update_op, transport=transport, label="update_ads")
+        """Monotonic operation counter: the idempotency-key namespace."""
+        self._ops += 1
+        return self._ops
 
     # -------------------------------------------------------------- helpers
 

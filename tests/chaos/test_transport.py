@@ -79,12 +79,25 @@ class TestFaultInjection:
     def test_crash_invokes_hook_then_times_out(self):
         t = transport_for(FaultProfile(name="die", crash=WEIGHT_SCALE))
         events = []
+
+        class Endpoint:
+            has_store = False
+
+            def snapshot(self):
+                events.append("snapshot")
+                return b"state"
+
+            def restore(self, blob):
+                events.append(("restored", blob))
+
+        perfstats.reset()
         with pytest.raises(TransportTimeout, match="crashed"):
             t.deliver(
-                "a->b", b"x", lambda blob: events.append("handled"),
-                on_crash=lambda: events.append("restarted"),
+                "a->b", b"x", lambda blob: events.append("handled"), endpoint=Endpoint()
             )
-        assert events == ["restarted"]  # endpoint died before processing
+        # The endpoint died before processing and restarted from its state.
+        assert events == ["snapshot", ("restored", b"state")]
+        assert perfstats.get("chaos.cloud_restarts") == 1
 
     def test_reply_drop_runs_handler_but_raises(self):
         t = transport_for(FaultProfile(name="replyless", reply_drop=WEIGHT_SCALE))

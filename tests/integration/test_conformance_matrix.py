@@ -211,7 +211,6 @@ class TestCrashRecoveryInMatrix:
         perfstats.reset()
         system = build_cell(tparams, owner_factory, None, profile)
         system.cloud.precompute_witnesses()
-        system._cloud_snapshot = system.cloud.snapshot()
         outcome = system.search(Query.parse(7, "="), payment=PAYMENT)
         assert outcome.verified
         assert perfstats.get("chaos.cloud_restarts") > 0

@@ -9,6 +9,11 @@ Two equivalences pin the chaos layer down:
   schedule, outcomes, and ``chaos.*`` / ``retry.*`` counters (the fault
   plan's RNG is independent of the protocol's).
 
+Both run every entry point: single searches, an insert, a batch and a plan
+batch.  Batches and plans also cross faults on their own legs: under
+``lossy`` they settle every escrow exactly once with the direct run's
+verdicts, and when every delivery drops, each escrow degrades.
+
 Only ``chaos.*`` / ``retry.*`` counters are compared: kernel counters
 (memo hits etc.) are process-warm, so their absolute values depend on what
 ran earlier in the session.
@@ -16,13 +21,14 @@ ran earlier in the session.
 
 import pytest
 
-from repro.chaos import ChaosTransport, FaultPlan, profile_named
+from repro.chaos import ChaosTransport, FaultPlan, FaultProfile, profile_named
 from repro.common import perfstats
 from repro.common.rng import default_rng
 from repro.core import wire
 from repro.core.query import Query
 from repro.core.records import make_database
-from repro.system import SlicerSystem
+from repro.planner import And, Range
+from repro.system import DEFAULT_FUNDING, DeliveryFailure, SlicerSystem
 
 VALUES = [7, 7, 9, 40, 41, 64, 3, 200]
 EXTRA = [7, 41]
@@ -31,6 +37,10 @@ QUERIES = [
     Query.parse(40, ">"),
     Query.parse(41, "<"),
 ]
+BATCH = [Query.parse(7, "="), Query.parse(40, ">"), Query.parse(7, "=")]
+PLANS = [Range(5, 64), And(Range(0, 100), Range(7, 200))]
+#: Every request leg drops, and no clean delivery is ever forced.
+BLACK_HOLE = FaultProfile(name="black_hole", drop=1000, force_clean_after=1000)
 
 
 def database(values, start=0):
@@ -39,15 +49,24 @@ def database(values, start=0):
     )
 
 
-def build_system(tparams, owner_factory, seed, transport=None):
+def build_system(tparams, owner_factory, seed, transport=None, shards=1):
     system = SlicerSystem(
         tparams,
         rng=default_rng(seed),
         owner=owner_factory(tparams, seed=seed),
         transport=transport,
+        shards=shards,
     )
     system.setup(database(VALUES))
     return system
+
+
+def run_batch(system):
+    return system.batch_search(BATCH)
+
+
+def run_plans(system):
+    return [leg for plan in system.search_plans(PLANS) for leg in plan.legs]
 
 
 def run_scenario(system):
@@ -55,7 +74,22 @@ def run_scenario(system):
     outcomes = [system.search(q) for q in QUERIES]
     system.insert(database(EXTRA, start=100))
     outcomes.extend(system.search(q) for q in QUERIES)
+    outcomes.extend(run_batch(system))
+    outcomes.extend(run_plans(system))
     return outcomes
+
+
+def injected():
+    return sum(v for k, v in chaos_counters().items() if k.startswith("chaos.injected."))
+
+
+def settlements():
+    return perfstats.get("contract.settle.paid") + perfstats.get("contract.settle.refunded")
+
+
+def funds(system):
+    """Every account's balance plus what the contract holds in escrow."""
+    return sum(system.balances().values()) + system.chain.balance(system.contract.address)
 
 
 def chaos_counters():
@@ -128,3 +162,46 @@ class TestSeedDeterminism:
             run_scenario(build_system(tparams, owner_factory, seed=7, transport=transport))
             histories.append(list(transport.plan.history))
         assert histories[0] != histories[1]
+
+
+class TestBatchAndPlanLegsCrossChaos:
+    @pytest.mark.parametrize("shards", [1, 4])
+    @pytest.mark.parametrize("entry", [run_batch, run_plans], ids=["batch", "plans"])
+    def test_lossy_faults_hit_the_legs_and_every_escrow_settles_once(
+        self, tparams, owner_factory, shards, entry
+    ):
+        direct = entry(build_system(tparams, owner_factory, seed=7, shards=shards))
+        transport = ChaosTransport(FaultPlan(profile_named("lossy"), seed=9))
+        system = build_system(tparams, owner_factory, seed=7, transport=transport, shards=shards)
+        assert funds(system) == 3 * DEFAULT_FUNDING
+        faults, settled = injected(), settlements()
+
+        outcomes = entry(system)
+
+        assert injected() > faults, "the entry point's own legs drew no fault"
+        assert settlements() - settled == len(outcomes)
+        assert len({o.query_id for o in outcomes}) == len(outcomes)
+        assert all(o.settled and o.error is None for o in outcomes)
+        assert funds(system) == 3 * DEFAULT_FUNDING
+        assert [outcome_fingerprint(o) for o in outcomes] == [
+            outcome_fingerprint(o) for o in direct
+        ]
+
+    @pytest.mark.parametrize("entry", [run_batch, run_plans], ids=["batch", "plans"])
+    def test_exhausted_budget_degrades_every_escrow(self, tparams, owner_factory, entry):
+        transport = ChaosTransport(FaultPlan(BLACK_HOLE, seed=3))
+        system = build_system(tparams, owner_factory, seed=7, transport=transport)
+        before = system.balances()
+
+        outcomes = entry(system)
+
+        assert len(outcomes) > 1
+        for outcome in outcomes:
+            assert not outcome.verified and not outcome.settled
+            assert outcome.error is not None and outcome.response is None
+            assert isinstance(outcome.failure, DeliveryFailure)
+            assert outcome.failure.error_type == "TransportTimeout"
+            assert outcome.failure.label == "submit_query"
+        assert len({id(o.failure) for o in outcomes}) == len(outcomes)
+        assert system.balances() == before  # the cloud gains nothing
+        assert funds(system) == 3 * DEFAULT_FUNDING

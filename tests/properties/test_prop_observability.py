@@ -18,7 +18,7 @@ Three pillars:
 
 import json
 
-from repro.chaos import ChaosTransport, FaultPlan, profile_named
+from repro.chaos import RETRY, ChaosTransport, FaultPlan, profile_named
 from repro.chaos.faults import FaultProfile
 from repro.common.rng import default_rng
 from repro.core.query import Query
@@ -198,7 +198,7 @@ class TestDegradedAttribution:
         assert failure is not None
         assert failure.error_type == "TransportTimeout"
         assert failure.label == "submit_query"
-        assert failure.attempts == system.retry.max_attempts
+        assert failure.attempts == RETRY.max_attempts
         # the FaultPlan step that exhausted the budget, resolvable offline
         assert isinstance(failure.fault_step, int)
         step, _leg, kind = transport.plan.history[failure.fault_step]
@@ -213,3 +213,21 @@ class TestDegradedAttribution:
         system = build_system(tparams, owner_factory, seed=7)
         outcome = system.search(QUERIES[0])
         assert outcome.error is None and outcome.failure is None
+
+    def test_direct_settle_revert_degrades_and_moves_nothing(self, tparams, owner_factory):
+        """A reverted settlement leaves the escrow open: degraded, not refunded."""
+        system = build_system(tparams, owner_factory, seed=7)
+        # The owner moves the on-chain digest behind the cloud's back.
+        system.chain.call(system.owner_address, system.contract, "update_ads", (12345,))
+        obs_audit.AUDIT_LOG.reset()
+        before = system.balances()
+
+        outcome = system.search(QUERIES[0])
+
+        assert not outcome.verified and not outcome.settled
+        assert "stale accumulation value" in outcome.error
+        assert outcome.failure.error_type == "TransientChainError"
+        assert outcome.attempts == 1
+        (record,) = obs_audit.AUDIT_LOG.records()
+        assert record.verdict == "degraded" and record.amount == 0
+        assert system.balances()["cloud"] == before["cloud"]
