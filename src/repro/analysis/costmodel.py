@@ -102,7 +102,8 @@ def estimate_gas(
     (~ ``ln(2^bits)/2`` for ``prime_bits``-bit outputs: ≈ 89 at 256 bits).
     """
     from ..blockchain.gas import GasSchedule
-    from ..blockchain.slicer_contract import PRIMALITY_ROUNDS, SlicerContract
+    from ..blockchain.slicer_contract import SlicerContract
+    from ..core.verify import PRIMALITY_ROUNDS
 
     schedule = GasSchedule()
     acc = params.accumulator

@@ -42,8 +42,9 @@ class Contract:
 
     Subclasses implement ``init(...)`` (the constructor body, already
     metered) and public methods.  Inside a method, use the ``_sload`` /
-    ``_sstore`` / ``_keccak`` / ``_modexp`` / ``_emit`` / ``_transfer`` /
-    ``_require`` helpers so every state touch is charged.
+    ``_sstore`` / ``_keccak`` / ``_emit`` / ``_transfer`` / ``_require``
+    helpers so every state touch is charged; pure compute charges
+    :attr:`meter` itself.
     """
 
     #: Estimated deployed bytecode size; drives the code-deposit charge.
@@ -131,18 +132,6 @@ class Contract:
     def _keccak(self, data: bytes) -> bytes:
         self.meter.charge(self.meter.schedule.keccak_gas(len(data)), "keccak")
         return hashlib.sha256(data).digest()
-
-    def _modexp(self, base: int, exponent: int, modulus: int) -> int:
-        base_len = max(1, (base.bit_length() + 7) // 8)
-        mod_len = max(1, (modulus.bit_length() + 7) // 8)
-        self.meter.charge(
-            self.meter.schedule.modexp_gas(base_len, exponent, mod_len), "modexp"
-        )
-        return pow(base, exponent, modulus)
-
-    def _mulmod(self, a: int, b: int, modulus: int) -> int:
-        self.meter.charge(self.meter.schedule.mulmod, "mulmod")
-        return (a * b) % modulus
 
     def _emit(self, name: str, **fields: object) -> None:
         data_bytes = sum(

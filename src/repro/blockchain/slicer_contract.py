@@ -14,10 +14,11 @@ paper's Table II implies:
   representative, ``VerifyMem`` via the MODEXP precompile) and either pays
   the cloud or refunds the user — the fairness mechanism.
 
-The verification *logic* is the same code path as
-:func:`repro.core.verify.verify_token_result`; here every hash, field
-multiplication, primality round and modular exponentiation additionally
-charges EVM-calibrated gas.
+Both settle entry points run one per-escrow body (:meth:`SlicerContract._settle`),
+and its verification is :func:`repro.core.verify.check_token` — the same
+per-token check ``verify_response`` and the third-party auditor run, here
+charging every hash, field multiplication, primality round and modular
+exponentiation to the call's gas meter.
 """
 
 from __future__ import annotations
@@ -28,15 +29,10 @@ from ..common import perfstats
 from ..common.encoding import encode_parts, encode_uint
 from ..core.cloud import SearchResponse
 from ..core.params import SlicerParams
-from ..core.state import set_hash_key
 from ..core.tokens import SearchToken
-from ..crypto.multiset_hash import MultisetHash
+from ..core.verify import check_token
 from ..obs import metrics
 from .contract import Contract
-
-#: Miller-Rabin rounds the contract charges for checking one prime
-#: representative (each round priced as a MODEXP precompile call).
-PRIMALITY_ROUNDS = 12
 
 
 @dataclass(frozen=True)
@@ -50,28 +46,22 @@ class ChainTokenResult:
     entries: tuple[bytes, ...]
     witness: int
 
-    def to_args(self) -> list:
-        return [self.trapdoor, self.epoch, self.g1, self.g2, list(self.entries), self.witness]
+    @classmethod
+    def from_args(cls, args: list) -> "ChainTokenResult":
+        """Parse one token's calldata (as :func:`response_to_chain_args` lays it out)."""
+        return cls(args[0], args[1], args[2], args[3], tuple(args[4]), args[5])
 
-    def token_encoding(self) -> bytes:
-        return SearchToken(self.trapdoor, self.epoch, self.g1, self.g2).encode()
+    @property
+    def token(self) -> SearchToken:
+        return SearchToken(self.trapdoor, self.epoch, self.g1, self.g2)
 
 
 def response_to_chain_args(response: SearchResponse) -> list[list]:
     """Flatten a :class:`SearchResponse` into contract calldata."""
-    out = []
-    for result in response.results:
-        out.append(
-            ChainTokenResult(
-                result.token.trapdoor,
-                result.token.epoch,
-                result.token.g1,
-                result.token.g2,
-                tuple(result.entries),
-                result.witness.value,
-            ).to_args()
-        )
-    return out
+    return [
+        [r.token.trapdoor, r.token.epoch, r.token.g1, r.token.g2, list(r.entries), r.witness.value]
+        for r in response.results
+    ]
 
 
 def tokens_digest_input(tokens: list[SearchToken]) -> bytes:
@@ -112,13 +102,6 @@ class SlicerContract(Contract):
         width = (self.params.accumulator.modulus.bit_length() + 7) // 8
         return ac_value.to_bytes(width, "big")
 
-    def _h_prime(self):
-        """One ``H_prime`` instance per contract (pure compute, no storage)."""
-        cached = getattr(self, "_h_prime_instance", None)
-        if cached is None:
-            cached = self._h_prime_instance = self.params.hash_to_prime()
-        return cached
-
     # --------------------------------------------------------- ADS update
 
     def update_ads(self, new_ac: int) -> None:
@@ -157,31 +140,9 @@ class SlicerContract(Contract):
         way the query closes, so neither party can re-litigate.
         """
         self._require(self.caller == self._sload("cloud"), "only cloud may settle")
-        prefix = f"query:{query_id}"
-        self._require(self._sload_int(f"{prefix}:state") == 1, "query not open")
-        self._require(
-            self._keccak(self._ac_bytes(ac_value)) == self._sload("ads_digest"),
-            "stale accumulation value",
-        )
-
-        results = [ChainTokenResult(r[0], r[1], r[2], r[3], tuple(r[4]), r[5]) for r in response]
-        tokens_blob = encode_parts(*[r.token_encoding() for r in results])
-        self._require(
-            self._keccak(tokens_blob) == self._sload(f"{prefix}:tokens"),
-            "response does not match the queried tokens",
-        )
-
-        ok = all(self._verify_token(result, ac_value) for result in results)
-
-        payment = self._sload_int(f"{prefix}:payment")
-        user = self._sload(f"{prefix}:user")
-        self._sstore_int(f"{prefix}:state", 2 if ok else 3, 1)  # 2 settled, 3 refunded
-        if ok:
-            self._transfer(self._sload("cloud"), payment)
-        else:
-            self._transfer(user, payment)
-        perfstats.incr("contract.settle.paid" if ok else "contract.settle.refunded")
-        metrics.observe("contract.settle.entries", sum(len(r.entries) for r in results))
+        self._require_open(query_id)
+        self._require_current(ac_value)
+        ok = self._settle(query_id, ac_value, response)
         self._emit("QuerySettled", query_id=encode_uint(query_id), verified=b"\x01" if ok else b"\x00")
         return ok
 
@@ -197,65 +158,44 @@ class SlicerContract(Contract):
         """
         self._require(self.caller == self._sload("cloud"), "only cloud may settle")
         self._require(len(query_ids) == len(responses), "batch length mismatch")
+        self._require_current(ac_value)
+        outcomes = []
+        for query_id, response in zip(query_ids, responses):
+            self._require_open(query_id)
+            outcomes.append(self._settle(query_id, ac_value, response))
+        self._emit("BatchSettled", count=encode_uint(len(outcomes)))
+        return outcomes
+
+    def _require_open(self, query_id: int) -> None:
+        self._require(self._sload_int(f"query:{query_id}:state") == 1, "query not open")
+
+    def _require_current(self, ac_value: int) -> None:
         self._require(
             self._keccak(self._ac_bytes(ac_value)) == self._sload("ads_digest"),
             "stale accumulation value",
         )
-        outcomes = []
-        for query_id, response in zip(query_ids, responses):
-            prefix = f"query:{query_id}"
-            self._require(self._sload_int(f"{prefix}:state") == 1, "query not open")
-            results = [
-                ChainTokenResult(r[0], r[1], r[2], r[3], tuple(r[4]), r[5])
-                for r in response
-            ]
-            tokens_blob = encode_parts(*[r.token_encoding() for r in results])
-            self._require(
-                self._keccak(tokens_blob) == self._sload(f"{prefix}:tokens"),
-                "response does not match the queried tokens",
-            )
-            ok = all(self._verify_token(result, ac_value) for result in results)
-            payment = self._sload_int(f"{prefix}:payment")
-            user = self._sload(f"{prefix}:user")
-            self._sstore_int(f"{prefix}:state", 2 if ok else 3, 1)
-            self._transfer(self._sload("cloud") if ok else user, payment)
-            perfstats.incr("contract.settle.paid" if ok else "contract.settle.refunded")
-            metrics.observe("contract.settle.entries", sum(len(r.entries) for r in results))
-            outcomes.append(ok)
-        self._emit("BatchSettled", count=encode_uint(len(outcomes)))
-        return outcomes
 
-    def _verify_token(self, result: ChainTokenResult, ac_value: int) -> bool:
-        """Algorithm 5 for one token, with gas charged per primitive."""
-        params = self.params
-        q = params.multiset_field
+    def _settle(self, query_id: int, ac_value: int, response: list) -> bool:
+        """One open escrow: bind the response to its tokens, verify, pay out.
 
-        # h <- H(er): two hash invocations + one field multiplication per
-        # element (the MSet-Mu-Hash element map uses a double digest).
-        running = MultisetHash.empty(q)
-        for entry in result.entries:
-            self.meter.charge(2 * self.meter.schedule.keccak_gas(len(entry)), "keccak")
-            self.meter.charge(self.meter.schedule.mulmod, "mulmod")
-            running = running.add(entry)
-
-        # x <- H_prime(t_j || j || G1 || G2 || h): one digest per candidate in
-        # the deterministic counter walk, plus fixed Miller-Rabin rounds on
-        # the accepted candidate (each priced as a small MODEXP call).
-        # The walk may be served by the process-local kernel memo — a *local
-        # simulation* shortcut that must never change the bill: the memo
-        # returns the exact candidate count of the cold walk, so charged gas
-        # is identical warm and cold (tests/crypto/test_hash_to_prime.py).
-        state_key = set_hash_key(result.trapdoor, result.epoch, result.g1, result.g2)
-        material = encode_parts(state_key, running.to_bytes())
-        prime, candidates = self._h_prime().hash_to_prime_with_counter(material)
-        self.meter.charge(
-            candidates * self.meter.schedule.keccak_gas(len(material)), "keccak"
+        The open-state and ``Ac`` checks stay with each entry point, whose
+        ``_require`` order fixes the gas and reason of a reverted call.
+        """
+        prefix = f"query:{query_id}"
+        results = [ChainTokenResult.from_args(r) for r in response]
+        self._require(
+            self._keccak(tokens_digest_input([r.token for r in results]))
+            == self._sload(f"{prefix}:tokens"),
+            "response does not match the queried tokens",
         )
-        prime_len = (params.prime_bits + 7) // 8
-        round_gas = self.meter.schedule.modexp_gas(prime_len, prime, prime_len)
-        self.meter.charge(PRIMALITY_ROUNDS * round_gas, "primality")
-
-        # VerifyMem: one big MODEXP — witness^x mod n == Ac.  The modulus is
-        # an immutable (code constant), so no SLOAD is charged for it.
-        modulus = params.accumulator.modulus
-        return self._modexp(result.witness, prime, modulus) == ac_value % modulus
+        ok = all(
+            check_token(self.params, ac_value, r.token, r.entries, r.witness, self.meter)
+            for r in results
+        )
+        payment = self._sload_int(f"{prefix}:payment")
+        user = self._sload(f"{prefix}:user")
+        self._sstore_int(f"{prefix}:state", 2 if ok else 3, 1)  # 2 settled, 3 refunded
+        self._transfer(self._sload("cloud") if ok else user, payment)
+        perfstats.incr("contract.settle.paid" if ok else "contract.settle.refunded")
+        metrics.observe("contract.settle.entries", sum(len(r.entries) for r in results))
+        return ok

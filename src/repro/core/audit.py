@@ -1,26 +1,20 @@
 """Third-party auditing of settled searches (public verifiability, realised).
 
-The paper's fairness argument requires that verification can run *anywhere*
-from public data.  The contract is the canonical verifier; this module is
-the off-chain counterpart: a :class:`ThirdPartyAuditor` that re-checks a
-settled search from the public record — tokens, encrypted results, VOs and
-the on-chain ``Ac`` — holding **no keys whatsoever**.
-
-Use cases: dispute resolution after the fact, spot-checking the contract
-implementation, and the Table I "public verifiability" column made into a
-runnable artifact.
+A keyless :class:`ThirdPartyAuditor` re-runs the contract's own per-token
+check (:func:`~repro.core.verify.check_token`) on a settlement's calldata
+against the on-chain ``Ac``, and keeps the gas it would have cost on chain:
+dispute resolution, spot-checking the contract, and the Table I "public
+verifiability" column as a runnable artifact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..blockchain.slicer_contract import ChainTokenResult
-from ..crypto.accumulator import MembershipWitness
-from .cloud import SearchResponse, TokenResult
+from ..blockchain.slicer_contract import ChainTokenResult, response_to_chain_args
+from .cloud import SearchResponse
 from .params import SlicerParams
-from .tokens import SearchToken
-from .verify import VerificationReport, verify_response
+from .verify import VerificationReport, check_token, unmetered
 
 
 @dataclass(frozen=True)
@@ -32,18 +26,10 @@ class AuditRecord:
 
     @classmethod
     def from_chain_args(cls, args: list, ads_value: int) -> "AuditRecord":
-        return cls(
-            tuple(
-                ChainTokenResult(r[0], r[1], r[2], r[3], tuple(r[4]), r[5])
-                for r in args
-            ),
-            ads_value,
-        )
+        return cls(tuple(ChainTokenResult.from_args(r) for r in args), ads_value)
 
     @classmethod
     def from_response(cls, response: SearchResponse, ads_value: int) -> "AuditRecord":
-        from ..blockchain.slicer_contract import response_to_chain_args
-
         return cls.from_chain_args(response_to_chain_args(response), ads_value)
 
 
@@ -53,23 +39,19 @@ class ThirdPartyAuditor:
     def __init__(self, params: SlicerParams) -> None:
         # Deliberately strip any trapdoor: the auditor is a stranger.
         self.params = params.public()
+        #: The last audit's meter: the gas its checks would cost on chain.
+        self.meter = unmetered()
 
     def audit(self, record: AuditRecord) -> VerificationReport:
-        """Re-run Algorithm 5 on the public record."""
-        response = SearchResponse(
-            [
-                TokenResult(
-                    SearchToken(r.trapdoor, r.epoch, r.g1, r.g2),
-                    list(r.entries),
-                    MembershipWitness(r.witness),
-                )
+        """Re-run Algorithm 5 on the public record, every token."""
+        self.meter = meter = unmetered()
+        return VerificationReport(
+            tuple(
+                check_token(self.params, record.ads_value, r.token, r.entries, r.witness, meter)
                 for r in record.chain_results
-            ]
+            )
         )
-        return verify_response(self.params, record.ads_value, response)
 
-    def audit_agrees_with_settlement(
-        self, record: AuditRecord, settled_ok: bool
-    ) -> bool:
+    def audit_agrees_with_settlement(self, record: AuditRecord, settled_ok: bool) -> bool:
         """Does the independent audit reach the contract's verdict?"""
         return self.audit(record).ok == settled_ok

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from ..common.encoding import encode_parts, sizeof
+from ..common.encoding import sizeof
 from ..common.rng import DeterministicRNG, default_rng
 from ..common import perfstats
 from ..common.timing import Stopwatch
@@ -31,7 +31,7 @@ from ..crypto.multiset_hash import MultisetHash
 from ..crypto.trapdoor import TrapdoorPublicKey
 from .entry_cache import CacheNode, CollectResult, EntryCache, collect_entries
 from .params import SlicerParams
-from .state import CloudPackage, EncryptedIndex, set_hash_key
+from .state import CloudPackage, EncryptedIndex, prime_input, set_hash_key
 from .tokens import SearchToken
 
 
@@ -526,7 +526,7 @@ class CloudServer:
         else:
             result_hash = MultisetHash.of(collected.entries, self.params.multiset_field)
         state_key = set_hash_key(token.trapdoor, token.epoch, token.g1, token.g2)
-        return self._hash_to_prime(encode_parts(state_key, result_hash.to_bytes()))
+        return self._hash_to_prime(prime_input(state_key, result_hash))
 
     def _batch_witnesses(
         self, partials: list[tuple[SearchToken, CollectResult]]

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..common.bitstring import xor_bytes
-from ..common.encoding import encode_parts, encode_uint
+from ..common.encoding import encode_uint
 from ..common.errors import StateError
 from ..common.rng import DeterministicRNG, default_rng
 from ..common.timing import Stopwatch
@@ -38,6 +38,7 @@ from .state import (
     EncryptedIndex,
     SetHashState,
     TrapdoorState,
+    prime_input,
     set_hash_key,
 )
 from .tokens import derive_g1_g2
@@ -182,7 +183,7 @@ class DataOwner:
             new_primes: list[int] = []
             for (g1, _, state_key, running) in staged:
                 self.set_hash_state.put(state_key, running)
-                prime = h_prime(encode_parts(state_key, running.to_bytes()))
+                prime = h_prime(prime_input(state_key, running))
                 new_primes.append(prime)
                 self._prime_g1.setdefault(prime, g1)
             self.accumulator.add_many(new_primes)

@@ -102,6 +102,15 @@ def set_hash_key(trapdoor: bytes, epoch: int, g1: bytes, g2: bytes) -> bytes:
     return encode_parts(trapdoor, encode_uint(epoch), g1, g2)
 
 
+def prime_input(key: bytes, set_hash: MultisetHash) -> bytes:
+    """The ``H_prime`` input ``t || j || G1 || G2 || h`` for :func:`set_hash_key` ``key``.
+
+    The owner's Build/Insert, the cloud's VO and every verifier of
+    Algorithm 5 derive a prime representative from exactly these bytes.
+    """
+    return encode_parts(key, set_hash.to_bytes())
+
+
 class SetHashState:
     """The dictionary ``S``: (trapdoor, epoch, G1, G2) -> running multiset hash."""
 

@@ -77,7 +77,13 @@ from .chaos import (
 )
 from .common import perfstats
 from .common.encoding import encode_uint
-from .common.errors import RetryExhausted, StateError, TransientChainError
+from .common.errors import (
+    InsufficientFundsError,
+    ReproError,
+    RetryExhausted,
+    StateError,
+    TransientChainError,
+)
 from .obs import audit as obs_audit
 from .obs import metrics, trace
 from .obs.audit import VERDICT_DEGRADED, VERDICT_PAID, VERDICT_REFUNDED
@@ -132,9 +138,10 @@ class DeliveryFailure:
     fault_step: int | None = None
 
     @classmethod
-    def from_exception(cls, exc: RetryExhausted | TransientChainError) -> "DeliveryFailure":
-        """Attribute a retry budget that ran out, or a settlement that reverted."""
-        if isinstance(exc, TransientChainError):
+    def from_exception(cls, exc: ReproError) -> "DeliveryFailure":
+        """Attribute a retry budget that ran out, a submit the chain refused,
+        or a settlement that reverted."""
+        if not isinstance(exc, RetryExhausted):
             return cls(error_type=type(exc).__name__, message=str(exc))
         cause = exc.last_error if exc.last_error is not None else exc.__cause__
         return cls(
@@ -151,7 +158,8 @@ class SearchOutcome:
     """Everything one on-chain search produced.
 
     A search *degrades* instead of settling when its transport's retry
-    budget runs out, or when its settlement reverts: ``error`` carries the
+    budget runs out, when the chain refuses its submit (it then holds no
+    escrow), or when its settlement reverts: ``error`` carries the
     reason (and ``failure`` its structured form), ``verified`` is False,
     and the receipt/response fields for the legs that never completed are
     None.  Only a faulting transport numbers attempts, so a direct outcome
@@ -443,9 +451,13 @@ class SlicerSystem:
         scope, and serve and settle share a scope, so a lost settlement is
         re-served before it is re-sent.  Idempotency keys are scoped by an
         operation counter, so a duplicated or re-sent message never
-        double-charges an escrow.  When the retry budget runs out, or the
-        settlement reverts, every escrow whose settlement did not land
-        degrades to an error outcome instead of raising.  Settlement is
+        double-charges an escrow.  The first submit that fails (the chain
+        refuses it, e.g. for insufficient funds, or its retry budget runs
+        out) ends the submits: the escrows already submitted are served and
+        settled, and that escrow and every later one degrade unsubmitted.
+        When the retry budget runs out, or the settlement reverts, every
+        escrow whose settlement did not land degrades to an error outcome
+        instead of raising.  Settlement is
         :meth:`_settle`'s: sync settlement mines one block per call, block
         settlement seals as it settles.
         """
@@ -479,9 +491,26 @@ class SlicerSystem:
                 cache_if=_succeeded,
             )
 
+        #: The escrows that reached the contract: a prefix of ``outcomes``,
+        #: since the first submit the chain refuses ends the submits.
+        live: list[SearchOutcome] = []
+        submit_error: ReproError | None = None
+        for i, outcome in enumerate(outcomes):
+            try:
+                with trace.span("submit"):
+                    receipt = transport.retried("submit_query", partial(submit_attempt, i))
+            except (RetryExhausted, InsufficientFundsError) as exc:
+                submit_error = exc
+                break
+            if not receipt.status:
+                submit_error = StateError(f"query submission reverted: {receipt.revert_reason}")
+                break
+            outcome.submit_receipt, outcome.query_id = receipt, receipt.return_value
+            live.append(outcome)
+
         if batch:
-            request, serve = [o.tokens for o in outcomes], self.cloud.search_many
-            codecs, attrs = (wire.TOKEN_LISTS, wire.RESPONSES), {"batch": len(outcomes)}
+            request, serve = [o.tokens for o in live], self.cloud.search_many
+            codecs, attrs = (wire.TOKEN_LISTS, wire.RESPONSES), {"batch": len(live)}
         else:
             request, serve = outcomes[0].tokens, self.cloud.search
             codecs, attrs = (wire.TOKENS, wire.RESPONSE), {}
@@ -489,15 +518,15 @@ class SlicerSystem:
         serve_via = DIRECT if self._sharded else transport
 
         def serve_settle(attempt: int | None) -> None:
-            count(range(len(outcomes)), attempt)
+            count(range(len(live)), attempt)
             span_attrs = attrs if attempt is None else {**attrs, "attempt": attempt}
 
             def settle(message) -> list[str]:
                 """The contract's side: settle every escrow not yet landed."""
                 responses = message if batch else [message]
-                pending = [i for i in range(len(outcomes)) if i not in landed]
+                pending = [i for i in range(len(live)) if i not in landed]
                 staged = [
-                    (outcomes[i].query_id, responses[i], ("settle", op, attempt, i))
+                    (live[i].query_id, responses[i], ("settle", op, attempt, i))
                     for i in pending
                 ]
                 reverts = []
@@ -530,17 +559,15 @@ class SlicerSystem:
                     # restart briefly served a stale Ac.
                     raise TransientChainError(f"settle reverted: {reverts[0]}")
 
-        error: RetryExhausted | TransientChainError | None = None
-        try:
-            for i, outcome in enumerate(outcomes):
-                with trace.span("submit"):
-                    receipt = transport.retried("submit_query", partial(submit_attempt, i))
-                if not receipt.status:
-                    raise StateError(f"query submission reverted: {receipt.revert_reason}")
-                outcome.submit_receipt, outcome.query_id = receipt, receipt.return_value
-            transport.retried("verify_and_settle", serve_settle)
-        except (RetryExhausted, TransientChainError) as exc:
-            error = exc
+        #: What degrades the submitted escrows: the settle leg's failure, or
+        #: the submit's when no escrow reached the chain.
+        failed = submit_error if not live else None
+        if failed is None:
+            try:
+                transport.retried("verify_and_settle", serve_settle)
+            except (RetryExhausted, TransientChainError) as exc:
+                failed = exc
+        if failed is not None:
             self._mine_boundary()
 
         numbered = any(tried)
@@ -551,11 +578,12 @@ class SlicerSystem:
                 if verified:
                     outcome.record_ids = user.decrypt_results(response)
             else:
+                error = failed if i < len(live) else submit_error
                 outcome.error, outcome.failure = str(error), DeliveryFailure.from_exception(error)
             if numbered:
                 outcome.attempts = tried[i]
             self._record(outcome, payment, batch_size=len(outcomes) if batch else None)
-        if error is None and self.builder is None:
+        if failed is None and self.builder is None:
             self.chain.mine()
         return outcomes
 

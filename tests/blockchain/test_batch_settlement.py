@@ -82,3 +82,43 @@ class TestBatchSearch:
         )
         assert not receipt.status
         assert "mismatch" in receipt.revert_reason
+
+
+class TestRefusedSubmit:
+    """A submit the chain refuses ends the submits: the escrows already
+    submitted are served and settled, and the refused query and every later
+    one degrade unsubmitted, so no escrow is left locked in the contract."""
+
+    PAYMENT = 4 * 10**8  # the funding covers two escrows, not three
+
+    def test_unfunded_batch_settles_what_it_submitted(self, tparams):
+        from repro.obs import audit as obs_audit
+
+        s = SlicerSystem(tparams, rng=default_rng(153))
+        s.setup(make_database([("r1", 10), ("r2", 20), ("r3", 30)], bits=8))
+        contract0 = s.chain.balance(s.contract.address)
+        total0 = s.balances()["user"] + s.balances()["cloud"] + contract0
+        queries = [Query.parse(10, "="), Query.parse(20, "="), Query.parse(30, "=")]
+        outcomes = s.batch_search(queries, payment=self.PAYMENT)
+
+        assert [o.verified for o in outcomes] == [True, True, False]
+        assert all(o.settled for o in outcomes[:2])
+        refused = outcomes[2]
+        assert refused.submit_receipt is None and refused.settle_receipt is None
+        assert refused.failure.error_type == "InsufficientFundsError"
+        records = obs_audit.AUDIT_LOG.records()[-3:]
+        assert [r.verdict for r in records] == ["paid", "paid", "degraded"]
+        assert records[2].amount == 0
+
+        assert s.chain.balance(s.contract.address) == contract0
+        assert s.balances()["cloud"] == DEFAULT_FUNDING + 2 * self.PAYMENT
+        total = s.balances()["user"] + s.balances()["cloud"]
+        assert total + s.chain.balance(s.contract.address) == total0
+
+        # The same rule for a single search: degraded, never submitted.
+        single = s.search(Query.parse(10, "="), payment=self.PAYMENT)
+        assert single.error is not None and single.submit_receipt is None
+        assert single.failure.error_type == "InsufficientFundsError"
+        assert obs_audit.AUDIT_LOG.records()[-1].verdict == "degraded"
+        assert s.chain.balance(s.contract.address) == contract0
+        assert s.balances()["user"] == DEFAULT_FUNDING - 2 * self.PAYMENT

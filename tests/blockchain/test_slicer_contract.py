@@ -178,6 +178,45 @@ class TestGasShape:
         assert warm.settle_gas == cold.settle_gas
         assert warm.settle_receipt.gas_breakdown == cold.settle_receipt.gas_breakdown
 
+    def test_out_of_gas_inside_second_token_pins_partial_bill(self, system):
+        """A settle that runs out of gas mid-Algorithm 5 reverts with the
+        partial bill of every primitive charged so far, in the contract's
+        order: per entry two hashes then a field multiplication, then the
+        ``H_prime`` walk, the primality rounds and the ``VerifyMem`` modexp.
+        The limit cuts the second token's entry loop at its fourth
+        ``mulmod``; the values were recorded before the check was shared
+        with the off-chain verifier, and must not move."""
+        tokens = system.user.make_tokens(Query.parse(50, ">"))
+        submit = system.chain.call(
+            system.user_address,
+            system.contract,
+            "submit_query",
+            (tokens_digest_input(tokens),),
+            value=1000,
+        )
+        response = system.cloud.search(tokens)
+        assert [len(r.entries) for r in response.results] == [1, 5, 2]
+        receipt = system.chain.call(
+            system.cloud_address,
+            system.contract,
+            "verify_and_settle",
+            (submit.return_value, system.cloud.ads_value, response_to_chain_args(response)),
+            gas_limit=49_976,
+        )
+        assert not receipt.status
+        assert receipt.gas_used == 49_976
+        assert receipt.revert_reason == "gas limit 49976 exceeded at 49980 (mulmod)"
+        assert receipt.gas_breakdown == {
+            "intrinsic": 37_184,
+            "sload": 8_400,
+            "keccak": 612,
+            "mulmod": 40,
+            "primality": 2_400,
+            "modexp": 1_344,
+        }
+        # The escrow stays open and funded: nothing was paid out.
+        assert system.chain.balance(system.contract.address) == 1000
+
     def test_modexp_dominates_verification_at_paper_scale(self):
         """With the paper's 2048-bit modulus the MODEXP precompile is the
         dominant verification cost (the O(λ) term the paper highlights)."""

@@ -69,6 +69,21 @@ def owner_factory(session_keys):
     return make
 
 
+@pytest.fixture(scope="session")
+def result_prime():
+    """The prime representative a ``TokenResult`` binds to (Algorithm 5's ``x``)."""
+    from repro.core.state import prime_input, set_hash_key
+    from repro.crypto.multiset_hash import MultisetHash
+
+    def prime(params: SlicerParams, result) -> int:
+        token = result.token
+        state_key = set_hash_key(token.trapdoor, token.epoch, token.g1, token.g2)
+        result_hash = MultisetHash.of(result.entries, params.multiset_field)
+        return params.hash_to_prime()(prime_input(state_key, result_hash))
+
+    return prime
+
+
 @dataclass
 class WitnessWork:
     """Witness exponentiations a cloud performed, counted on any backend.

@@ -15,7 +15,7 @@ from repro.core.cloud import CloudServer
 from repro.core.query import Query
 from repro.core.records import Database, make_database
 from repro.core.user import DataUser
-from repro.core.verify import _result_prime, verify_response
+from repro.core.verify import verify_response
 
 
 @pytest.fixture()
@@ -131,7 +131,9 @@ class TestCache:
         assert perfstats.get("cloud.witness.rejected") == 0
         assert verify_response(tparams, cloud.ads_value, response).ok
 
-    def test_negated_precompute_pair_never_served(self, world, tparams, monkeypatch):
+    def test_negated_precompute_pair_never_served(
+        self, world, tparams, result_prime, monkeypatch
+    ):
         """A corrupt precompute batch that negates two witnesses
         (``w → n−w``, which a random-linear-combination fold accepts) is
         rejected per item on first serve: both primes are served live
@@ -139,7 +141,7 @@ class TestCache:
         _, cloud, user, _ = world
         tokens = user.make_tokens(Query.parse(100, ">"))
         honest = cloud.search(tokens)
-        victims = sorted({_result_prime(tparams, r) for r in honest.results})[:2]
+        victims = sorted({result_prime(tparams, r) for r in honest.results})[:2]
         assert len(victims) == 2
         n = tparams.accumulator.modulus
         root_witnesses = CloudServer._root_witnesses

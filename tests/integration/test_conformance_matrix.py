@@ -25,6 +25,7 @@ from repro.chaos import ChaosTransport, FaultPlan, FaultProfile, profile_named
 from repro.common import perfstats
 from repro.common.rng import default_rng
 from repro.core import wire
+from repro.core.audit import AuditRecord, ThirdPartyAuditor
 from repro.core.cloud import CloudServer, MaliciousCloud, Misbehavior
 from repro.core.query import Query, Range
 from repro.core.records import make_database
@@ -49,7 +50,18 @@ SHAPES = [
         lambda s: [s.search(q, payment=PAYMENT) for q in Range(5, 64).to_queries(8)],
     ),
     ("empty", lambda s: [s.search(Query.parse(101, "="), payment=PAYMENT)]),
+    # Both escrows settle in one call: under sync settlement the shared
+    # escrow body runs on ``batch_verify_and_settle``.
+    (
+        "batch",
+        lambda s: s.batch_search(
+            [Query.parse(7, "="), Query.parse(40, ">")], payment=PAYMENT
+        ),
+    ),
 ]
+
+#: The settle receipt's gas items that only Algorithm 5 charges.
+CHECK_GAS_ITEMS = ("mulmod", "primality", "modexp")
 
 #: Tampering that is *guaranteed* non-trivial on the post-insert ``eq``
 #: shape (non-empty results, two epochs) — these cells must refund.
@@ -103,10 +115,12 @@ class TestConformanceMatrix:
                 tparams, owner_factory, behavior, profile_named(profile_name)
             )
             twin = honest_twin(system)
+            auditor = ThirdPartyAuditor(tparams)
             verdicts = {}
             expected_cloud_gain = 0
             for shape_name, run_shape in SHAPES:
                 sides = run_shape(system)
+                cell = (behavior, shape_name, profile_name)
                 for outcome in sides:
                     # Liveness: bounded fault streaks + the retry budget mean
                     # every search settles — no degraded outcomes, ever.
@@ -115,9 +129,21 @@ class TestConformanceMatrix:
                     # The fairness oracle: paid iff byte-identical to honest.
                     honest_bytes = wire.dump_response(twin.search(outcome.tokens))
                     got_bytes = wire.dump_response(outcome.response)
-                    assert outcome.verified == (got_bytes == honest_bytes), (
-                        behavior, shape_name, profile_name,
+                    assert outcome.verified == (got_bytes == honest_bytes), cell
+                    # Public verifiability: a keyless auditor re-running the
+                    # check over the settle calldata and the settled Ac
+                    # reaches the contract's verdict...
+                    record = AuditRecord.from_chain_args(
+                        response_to_chain_args(outcome.response), system.cloud.ads_value
                     )
+                    assert auditor.audit(record).ok == outcome.verified, cell
+                    if outcome.verified and shape_name != "batch":
+                        # ...and, where the contract ran every token, bills
+                        # exactly the gas the settlement paid for the check.
+                        billed = outcome.settle_receipt.gas_breakdown
+                        audited = auditor.meter.breakdown
+                        for item in CHECK_GAS_ITEMS:
+                            assert audited.get(item) == billed.get(item), (cell, item)
                     if outcome.verified:
                         expected_cloud_gain += PAYMENT
                 verdicts[shape_name] = tuple(o.verified for o in sides)

@@ -15,7 +15,7 @@ from repro.core.cloud import CloudServer
 from repro.core.query import Query
 from repro.core.records import make_database
 from repro.core.user import DataUser
-from repro.core.verify import _result_prime, verify_response
+from repro.core.verify import verify_response
 from repro.sharding import HashShardPlan, ShardedCloudFrontend
 from repro.storage import codec, state_io
 from repro.storage.segment_store import MANIFEST_NAME, SegmentStore
@@ -289,11 +289,11 @@ class TestShardPackageWitnesses:
         assert witness_work.memwit == 0  # no live MemWit
 
     def test_tampered_witness_rejected_then_search_pays(
-        self, tparams, owner_factory, monkeypatch
+        self, tparams, owner_factory, result_prime, monkeypatch
     ):
         # The honest twin names the prime the query's first token binds to.
         twin = self._system(tparams, owner_factory)
-        target = _result_prime(tparams, twin.search(QUERIES[0]).response.results[0])
+        target = result_prime(tparams, twin.search(QUERIES[0]).response.results[0])
         modulus = tparams.accumulator.modulus
         real_dump = state_io.dump_cloud_package
 

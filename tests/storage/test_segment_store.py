@@ -17,7 +17,7 @@ from repro.core.cloud import CloudServer
 from repro.core.query import Query
 from repro.core.records import make_database
 from repro.core.user import DataUser
-from repro.core.verify import _result_prime, verify_response
+from repro.core.verify import verify_response
 from repro.storage import SegmentStore
 from repro.system import DEFAULT_PAYMENT, SlicerSystem
 from repro.storage.segment_store import (
@@ -346,7 +346,7 @@ class TestCheckpointWitnessesCheckedPerItem:
     QUERY = Query.parse(100, ">")
 
     @pytest.fixture()
-    def checkpointed(self, tparams, owner_factory, tmp_path):
+    def checkpointed(self, tparams, owner_factory, result_prime, tmp_path):
         system = SlicerSystem(
             tparams,
             rng=default_rng(3),
@@ -357,7 +357,7 @@ class TestCheckpointWitnessesCheckedPerItem:
         first = system.search(self.QUERY)
         assert first.verified
         system.cloud.checkpoint()
-        primes = [_result_prime(tparams, result) for result in first.response.results]
+        primes = [result_prime(tparams, result) for result in first.response.results]
         return system, first, primes, tmp_path / "store"
 
     @staticmethod
