@@ -113,7 +113,7 @@ class KeywordSse:
         token = self.token(keyword)
         if token is None:
             return set()
-        return {self.cipher.decrypt(blob) for blob in self.server_search(token)}
+        return set(self.cipher.decrypt_many(self.server_search(token)))
 
     # ------------------------------------------------- the range strawman
 
@@ -142,7 +142,7 @@ class KeywordSse:
             if token is None:
                 continue
             tokens_issued += 1
-            results |= {self.cipher.decrypt(b) for b in self.server_search(token)}
+            results.update(self.cipher.decrypt_many(self.server_search(token)))
         return results, tokens_issued
 
     @property

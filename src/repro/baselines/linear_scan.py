@@ -40,8 +40,8 @@ class LinearScanStore:
         """Client-side: decrypt everything, apply the predicate."""
         predicate = query.predicate()
         out: set[bytes] = set()
-        for blob in self.download_all():
-            record_id, value_bytes = decode_parts(self.cipher.decrypt(blob))
+        for plaintext in self.cipher.decrypt_many(self.download_all()):
+            record_id, value_bytes = decode_parts(plaintext)
             if predicate(decode_uint(value_bytes)):
                 out.add(record_id)
         return out

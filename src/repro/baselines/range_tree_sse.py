@@ -112,9 +112,7 @@ class RangeTreeSse:
             if token is None:
                 continue
             tokens += 1
-            results |= {
-                self.sse.cipher.decrypt(blob) for blob in self.sse.server_search(token)
-            }
+            results.update(self.sse.cipher.decrypt_many(self.sse.server_search(token)))
         return results, tokens
 
     @property

@@ -64,11 +64,10 @@ class DataUser:
     # -------------------------------------------------------------- results
 
     def decrypt_results(self, response: SearchResponse) -> set[bytes]:
-        """Decrypt every returned ciphertext into a record-ID set."""
-        out: set[bytes] = set()
-        for blob in response.all_entries():
-            plaintext = self._cipher.decrypt(blob)
-            if len(plaintext) != self.params.record_id_len:
-                raise StateError("decrypted record has unexpected length")
-            out.add(plaintext)
-        return out
+        """``Dec(K_R, ·)`` over every returned ciphertext, in one
+        :meth:`~repro.crypto.symmetric.SymmetricCipher.decrypt_many` call,
+        into a record-ID set; every plaintext must be a record ID."""
+        plaintexts = self._cipher.decrypt_many(response.all_entries())
+        if any(len(plaintext) != self.params.record_id_len for plaintext in plaintexts):
+            raise StateError("decrypted record has unexpected length")
+        return set(plaintexts)

@@ -10,12 +10,19 @@ Both ciphers produce ``nonce || ciphertext`` and are deterministic given an
 explicit nonce, which the protocol exploits: the multiset hash in Algorithm
 1 line 15 is computed over ``Enc(K_R, R)``, so the *same* ciphertext bytes
 must reach the cloud, the user and the verifying contract.
+
+There is one keystream path.  :meth:`SymmetricCipher.encrypt_many` (the
+owner's Build and Insert) and :meth:`SymmetricCipher.decrypt_many` (the
+user's ``Dec`` over a search's results) build the keystream of a whole
+batch in one call — one AES-ECB call over every body's CTR counter blocks
+— and ``encrypt``/``decrypt`` are their one-element case.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
+from itertools import accumulate
 
 from ..common.errors import KeyError_, ParameterError
 from ..common.rng import DeterministicRNG, default_rng
@@ -68,54 +75,59 @@ class SymmetricCipher:
         """``Enc``: returns ``nonce || ct``; random nonce unless one is given."""
         if nonce is None:
             nonce = self._rng.token_bytes(NONCE_LEN)
-        if len(nonce) != NONCE_LEN:
-            raise ParameterError(f"nonce must be {NONCE_LEN} bytes")
-        if _HAVE_AES:
-            encryptor = Cipher(algorithms.AES(self._key), modes.CTR(nonce)).encryptor()
-            body = encryptor.update(plaintext) + encryptor.finalize()
-        else:
-            stream = _hmac_keystream(self._key, nonce, len(plaintext))
-            body = bytes(a ^ b for a, b in zip(plaintext, stream))
-        return nonce + body
+        return self.encrypt_many([plaintext], [nonce])[0]
 
     def encrypt_many(self, plaintexts: list[bytes], nonces: list[bytes]) -> list[bytes]:
-        """``Enc`` over a batch with explicit nonces; byte-identical to
-        ``[encrypt(m, nonce) for m, nonce in zip(plaintexts, nonces)]``.
-
-        With AES the whole batch's CTR keystream is one ECB call over the
-        concatenated counter blocks (nonce, nonce+1, … per body, mod
-        2^128 as CTR increments), instead of one cipher context per record.
-        """
+        """``Enc`` over a batch with explicit nonces: ``nonce || ct`` each,
+        from one keystream call for the whole batch (:meth:`_xor_keystream`).
+        :meth:`encrypt` is its one-element case."""
         if len(plaintexts) != len(nonces):
             raise ParameterError("encrypt_many needs one nonce per plaintext")
-        if not _HAVE_AES:
-            return [self.encrypt(m, nonce=n) for m, n in zip(plaintexts, nonces)]
         if any(len(nonce) != NONCE_LEN for nonce in nonces):
             raise ParameterError(f"nonce must be {NONCE_LEN} bytes")
-        counters = b"".join(
-            ((int.from_bytes(nonce, "big") + i) & _COUNTER_MASK).to_bytes(_BLOCK, "big")
-            for m, nonce in zip(plaintexts, nonces)
-            for i in range(-(-len(m) // _BLOCK))
-        )
-        encryptor = Cipher(algorithms.AES(self._key), modes.ECB()).encryptor()
-        stream = encryptor.update(counters)
-        encryptor.finalize()  # ECB over whole blocks leaves nothing buffered
-        out = []
-        offset = 0
-        for m, nonce in zip(plaintexts, nonces):
-            size = len(m)
-            pad = int.from_bytes(stream[offset:offset + size], "big")
-            out.append(nonce + (int.from_bytes(m, "big") ^ pad).to_bytes(size, "big"))
-            offset += -(-size // _BLOCK) * _BLOCK
-        return out
+        bodies = self._xor_keystream(nonces, plaintexts)
+        return [nonce + body for nonce, body in zip(nonces, bodies)]
 
     def decrypt(self, blob: bytes) -> bytes:
         """``Dec``: inverse of :meth:`encrypt`."""
-        if len(blob) < NONCE_LEN:
+        return self.decrypt_many([blob])[0]
+
+    def decrypt_many(self, blobs: list[bytes]) -> list[bytes]:
+        """``Dec`` over a batch of ``nonce || ct`` blobs, from one keystream
+        call for the whole batch.  :meth:`decrypt` is its one-element case."""
+        if any(len(blob) < NONCE_LEN for blob in blobs):
             raise ParameterError("ciphertext shorter than nonce")
-        nonce, body = blob[:NONCE_LEN], blob[NONCE_LEN:]
+        return self._xor_keystream(
+            [blob[:NONCE_LEN] for blob in blobs], [blob[NONCE_LEN:] for blob in blobs]
+        )
+
+    def _xor_keystream(self, nonces: list[bytes], bodies: list[bytes]) -> list[bytes]:
+        """XOR each body with its nonce's keystream: the one keystream path.
+
+        Each body takes whole keystream blocks, and the batch's stream is
+        built in one call.  With AES that is one ECB call over the
+        concatenated counter blocks (nonce, nonce+1, … per body, mod 2^128
+        as CTR increments), i.e. exactly AES-CTR.  The fallback joins each
+        nonce's HMAC keystream, of which a shorter stream is a prefix.  The
+        zero-padded bodies are then XORed with the stream as one integer.
+        """
+        sizes = [-(-len(body) // _BLOCK) * _BLOCK for body in bodies]
         if _HAVE_AES:
-            decryptor = Cipher(algorithms.AES(self._key), modes.CTR(nonce)).decryptor()
-            return decryptor.update(body) + decryptor.finalize()
-        stream = _hmac_keystream(self._key, nonce, len(body))
-        return bytes(a ^ b for a, b in zip(body, stream))
+            counters = b"".join(
+                nonce if i == 0 else
+                ((int.from_bytes(nonce, "big") + i) & _COUNTER_MASK).to_bytes(_BLOCK, "big")
+                for nonce, size in zip(nonces, sizes)
+                for i in range(size // _BLOCK)
+            )
+            encryptor = Cipher(algorithms.AES(self._key), modes.ECB()).encryptor()
+            stream = encryptor.update(counters)  # whole blocks: nothing stays buffered
+        else:
+            stream = b"".join(
+                _hmac_keystream(self._key, nonce, size) for nonce, size in zip(nonces, sizes)
+            )
+        padded = b"".join(body.ljust(size, b"\0") for body, size in zip(bodies, sizes))
+        xored = (int.from_bytes(padded, "big") ^ int.from_bytes(stream, "big")).to_bytes(
+            len(padded), "big"
+        )
+        offsets = accumulate(sizes, initial=0)
+        return [xored[offset:offset + len(body)] for offset, body in zip(offsets, bodies)]

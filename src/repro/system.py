@@ -455,6 +455,9 @@ class SlicerSystem:
         refuses it, e.g. for insufficient funds, or its retry budget runs
         out) ends the submits: the escrows already submitted are served and
         settled, and that escrow and every later one degrade unsubmitted.
+        A submit whose call ran but whose every reply was lost did not fail:
+        the contract side records each escrow's receipt, so that escrow is
+        adopted and served and settled as usual.
         When the retry budget runs out, or the settlement reverts, every
         escrow whose settlement did not land degrades to an error outcome
         instead of raising.  Settlement is
@@ -467,6 +470,8 @@ class SlicerSystem:
         op = self._next_op()
         #: Numbered attempts per escrow; only a faulting transport numbers them.
         tried = [0] * len(outcomes)
+        #: Escrow index -> its submit receipt, once the chain ran the call.
+        escrowed: dict[int, Receipt] = {}
         #: Escrow index -> (response, receipt, height, verified) once it settled.
         landed: dict[int, tuple] = {}
 
@@ -475,17 +480,21 @@ class SlicerSystem:
                 for i in indices:
                     tried[i] += 1
 
-        def submit(tokens: list[SearchToken]) -> Receipt:
-            return self._chain_call(
+        def submit(i: int, tokens: list[SearchToken]) -> Receipt:
+            """The contract's side: open the escrow and record its receipt."""
+            receipt = self._chain_call(
                 address, contract, "submit_query", (tokens_digest_input(tokens),), value=payment
             )
+            if receipt.status:
+                escrowed[i] = receipt
+            return receipt
 
         def submit_attempt(i: int, attempt: int | None) -> Receipt:
             count((i,), attempt)
             return transport.deliver(
                 USER_TO_CONTRACT,
                 outcomes[i].tokens,
-                submit,
+                partial(submit, i),
                 codec=wire.TOKENS,
                 idempotency_key=("submit", op, i),
                 cache_if=_succeeded,
@@ -500,8 +509,11 @@ class SlicerSystem:
                 with trace.span("submit"):
                     receipt = transport.retried("submit_query", partial(submit_attempt, i))
             except (RetryExhausted, InsufficientFundsError) as exc:
-                submit_error = exc
-                break
+                if i not in escrowed:
+                    submit_error = exc
+                    break
+                # Only the replies were lost: the escrow is open on chain.
+                receipt = escrowed[i]
             if not receipt.status:
                 submit_error = StateError(f"query submission reverted: {receipt.revert_reason}")
                 break

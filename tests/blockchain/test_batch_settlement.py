@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.chaos import USER_TO_CONTRACT, ChaosTransport, FaultPlan, FaultProfile
+from repro.common.errors import TransportTimeout
 from repro.common.rng import default_rng
 from repro.core.cloud import MaliciousCloud, Misbehavior
 from repro.core.query import Query
@@ -122,3 +124,51 @@ class TestRefusedSubmit:
         assert obs_audit.AUDIT_LOG.records()[-1].verdict == "degraded"
         assert s.chain.balance(s.contract.address) == contract0
         assert s.balances()["user"] == DEFAULT_FUNDING - 2 * self.PAYMENT
+
+
+class MuteSubmitReplies(ChaosTransport):
+    """Fault-free, except that every reply on the submit leg is lost after
+    the chain ran the call."""
+
+    def __init__(self) -> None:
+        super().__init__(FaultPlan(FaultProfile.clean(), seed=3))
+
+    def deliver(self, channel, message, handler, **leg):
+        reply = super().deliver(channel, message, handler, **leg)
+        if channel == USER_TO_CONTRACT:
+            raise TransportTimeout(f"{channel}: reply dropped")
+        return reply
+
+
+class TestLostSubmitReply:
+    """A submit whose chain call ran but whose every reply was lost holds an
+    escrow: it is adopted, then served and settled, never left locked."""
+
+    PAYMENT = 1000
+
+    def test_executed_submit_is_adopted_and_settled(self, tparams):
+        from repro.obs import audit as obs_audit
+
+        s = SlicerSystem(tparams, rng=default_rng(154), transport=MuteSubmitReplies())
+        s.setup(make_database([("r1", 10), ("r2", 20), ("r3", 30)], bits=8))
+        contract0 = s.chain.balance(s.contract.address)
+        total0 = s.balances()["user"] + s.balances()["cloud"] + contract0
+
+        single = s.search(Query.parse(10, "="), payment=self.PAYMENT)
+        batch = s.batch_search(
+            [Query.parse(20, "="), Query.parse(30, "=")], payment=self.PAYMENT
+        )
+
+        for outcome in [single, *batch]:
+            assert outcome.error is None and outcome.verified and outcome.settled
+            assert outcome.query_id >= 0 and outcome.submit_receipt.status
+            assert len(outcome.record_ids) == 1
+        assert len({o.query_id for o in [single, *batch]}) == 3
+        records = obs_audit.AUDIT_LOG.records()[-3:]
+        assert [r.verdict for r in records] == ["paid", "paid", "paid"]
+
+        assert s.chain.balance(s.contract.address) == contract0
+        assert s.balances()["user"] == DEFAULT_FUNDING - 3 * self.PAYMENT
+        assert s.balances()["cloud"] == DEFAULT_FUNDING + 3 * self.PAYMENT
+        total = s.balances()["user"] + s.balances()["cloud"]
+        assert total + s.chain.balance(s.contract.address) == total0
